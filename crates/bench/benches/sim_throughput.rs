@@ -17,9 +17,9 @@
 //!   deliveries, so the report reads in deliveries/sec.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use moqdns_bench::worlds::{FederationWorld, MetroWorld};
+use moqdns_bench::worlds::RelayWorld;
 use moqdns_netsim::{Addr, Ctx, LinkConfig, Node, NodeId, Payload, Simulator};
-use moqdns_workload::scenarios::{FederationScenario, MetroScenario};
+use moqdns_workload::scenarios::RelayTreeSpec;
 use std::any::Any;
 use std::hint::black_box;
 use std::time::Duration;
@@ -113,25 +113,21 @@ fn bench_timer_churn(c: &mut Criterion) {
 }
 
 fn bench_federation_world(c: &mut Criterion) {
-    let spec = FederationScenario::federation();
+    let spec = RelayTreeSpec::federation();
     let mut g = c.benchmark_group("sim_throughput");
-    g.throughput(Throughput::Elements(
-        spec.stub_count() as u64 * spec.tracks as u64,
-    ));
+    g.throughput(Throughput::Elements(spec.subscription_count()));
     g.sample_size(10);
     g.bench_function("federation_stampede", |b| {
-        b.iter(|| black_box(FederationWorld::build(&spec, 91).delivered_updates()))
+        b.iter(|| black_box(RelayWorld::build(&spec, 91, 0).delivered_updates()))
     });
     g.finish();
 
     let mut g = c.benchmark_group("sim_throughput");
     // One round delivers one update of every track to every stub.
-    g.throughput(Throughput::Elements(
-        spec.stub_count() as u64 * spec.tracks as u64,
-    ));
+    g.throughput(Throughput::Elements(spec.subscription_count()));
     g.sample_size(10);
     g.bench_function("federation_update_round", |b| {
-        let mut w = FederationWorld::build(&spec, 91);
+        let mut w = RelayWorld::build(&spec, 91, 0);
         let mut octet = 0u8;
         b.iter(|| {
             octet = octet.wrapping_add(1);
@@ -149,14 +145,12 @@ fn bench_federation_world(c: &mut Criterion) {
 /// parallel speedup — on a multi-core box the curve should drop, on a
 /// single hardware thread it shows the barrier overhead ceiling.
 fn bench_parallel_scaling(c: &mut Criterion) {
-    let spec = MetroScenario::metro().smoke();
+    let spec = RelayTreeSpec::metro().smoke();
     let mut g = c.benchmark_group("parallel_scaling");
-    g.throughput(Throughput::Elements(
-        spec.stub_count() as u64 * spec.tracks_per_stub as u64,
-    ));
+    g.throughput(Throughput::Elements(spec.subscription_count()));
     g.sample_size(10);
     for workers in [0usize, 1, 2, 4] {
-        let mut w = MetroWorld::build_with_workers(&spec, 91, workers);
+        let mut w = RelayWorld::build(&spec, 91, workers);
         let mut octet = 0u8;
         g.bench_function(format!("metro_update_round/{workers}"), |b| {
             b.iter(|| {

@@ -6,120 +6,47 @@
 //! (b) keep the authoritative server's egress constant in S, and (c)
 //! serve late joiners' fetches from its object cache.
 //!
-//! Topologies come from `netsim::topo` (auth → relay → subs) instead of
-//! hand-wired node lists.
+//! Topologies are the [`RelayTreeSpec::relay_fanout`] preset (auth →
+//! relay → subs, or auth → subs).
 //!
 //! Run with `--smoke` for a scaled-down CI variant (fewer subscriber
 //! counts, fewer updates) and `--check` to emit the machine-readable
 //! invariant summary (`results/ci_relay_fanout.json`) and exit nonzero
 //! on any violation.
+//!
+//! [`RelayTreeSpec::relay_fanout`]: moqdns_workload::scenarios::RelayTreeSpec::relay_fanout
 
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::gate::InvariantGate;
 use moqdns_bench::report;
-use moqdns_bench::worlds::TreeStub;
-use moqdns_core::auth::AuthServer;
-use moqdns_core::relay_node::RelayNode;
-use moqdns_core::MOQT_PORT;
-use moqdns_dns::message::Question;
-use moqdns_dns::rdata::RData;
-use moqdns_dns::rr::{Record, RecordType};
-use moqdns_dns::server::Authority;
-use moqdns_dns::zone::Zone;
-use moqdns_netsim::topo::TopoBuilder;
-use moqdns_netsim::{Addr, LinkConfig, NodeId, SimTime, Simulator};
-use moqdns_quic::TransportConfig;
+use moqdns_bench::worlds::{Cohort, RelayWorld};
 use moqdns_stats::Table;
-use std::net::Ipv4Addr;
+use moqdns_workload::scenarios::RelayTreeSpec;
 use std::time::Duration;
 
-struct Built {
-    sim: Simulator,
-    auth: NodeId,
-    relay: Option<NodeId>,
-    subs: Vec<NodeId>,
+fn build(n_subs: usize, via_relay: bool, seed: u64, smoke: bool) -> RelayWorld {
+    RelayWorld::build(&spec(n_subs, via_relay, smoke), seed, 0)
 }
 
-fn question() -> Question {
-    Question::new("www.pop.example".parse().unwrap(), RecordType::A)
-}
-
-fn build(n_subs: usize, via_relay: bool, seed: u64) -> Built {
-    let mut sim = Simulator::new(seed);
-    let link = LinkConfig::with_delay(Duration::from_millis(15));
-    sim.set_default_link(link);
-    let name: moqdns_dns::name::Name = "www.pop.example".parse().unwrap();
-    let mut zone = Zone::with_default_soa("pop.example".parse().unwrap());
-    zone.add_record(Record::new(
-        name.clone(),
-        60,
-        RData::A(Ipv4Addr::new(192, 0, 2, 1)),
-    ));
-    let q = question();
-
-    let mut b = TopoBuilder::new().tier("auth", 1, 0, link);
-    if via_relay {
-        b = b.tier("relay", 1, 1, link);
-    }
-    b = b.tier("sub", n_subs, 1, link);
-    let topo = b.build(&mut sim, |sim, ctx| match ctx.tier_name {
-        "auth" => sim.add_node(
-            ctx.name.clone(),
-            Box::new(AuthServer::new(
-                Authority::single(zone.clone()),
-                TransportConfig::default(),
-                1,
-            )),
-        ),
-        "relay" => sim.add_node(
-            ctx.name.clone(),
-            Box::new(RelayNode::new(Addr::new(ctx.parents[0], MOQT_PORT), 0, 2)),
-        ),
-        _ => sim.add_node(
-            ctx.name.clone(),
-            Box::new(TreeStub::new(
-                Addr::new(ctx.parents[0], MOQT_PORT),
-                vec![q.clone()],
-                100 + ctx.index as u64,
-            )),
-        ),
-    });
-    sim.run_until(SimTime::from_secs(5));
-    Built {
-        sim,
-        auth: topo.tier_named("auth")[0],
-        relay: topo.tier_named("relay").first().copied(),
-        subs: topo.tier_named("sub").to_vec(),
+fn spec(n_subs: usize, via_relay: bool, smoke: bool) -> RelayTreeSpec {
+    let spec = RelayTreeSpec::relay_fanout(n_subs, via_relay);
+    if smoke {
+        spec.smoke()
+    } else {
+        spec
     }
 }
 
-fn push_updates(b: &mut Built, n: u64) {
-    let t0 = b.sim.now();
-    b.sim.stats_mut().reset();
-    let auth = b.auth;
+/// Schedules the spec's updates one update interval apart and runs 10 s
+/// past the last.
+fn push_updates(w: &mut RelayWorld) {
+    let n = w.spec.updates_per_track;
+    let (t0, gap) = (w.sim.now(), w.spec.update_interval);
+    w.sim.stats_mut().reset();
     for i in 0..n {
-        let at = t0 + Duration::from_secs(i + 1);
-        let octet = (i % 200) as u8 + 1;
-        b.sim.schedule_at(at, move |sim| {
-            let name: moqdns_dns::name::Name = "www.pop.example".parse().unwrap();
-            sim.with_node::<AuthServer, _>(auth, |a, ctx| {
-                a.update_zone(ctx, |authority| {
-                    if let Some(z) = authority.find_zone_mut(&name) {
-                        z.set_records(
-                            &name,
-                            RecordType::A,
-                            vec![Record::new(
-                                name.clone(),
-                                60,
-                                RData::A(Ipv4Addr::new(203, 0, 113, octet)),
-                            )],
-                        );
-                    }
-                });
-            });
-        });
+        w.schedule_update(t0 + gap * (i as u32 + 1), 0, (i % 200) as u8 + 1);
     }
-    b.sim.run_until(t0 + Duration::from_secs(n + 10));
+    w.sim.run_for(gap * n as u32 + Duration::from_secs(10));
 }
 
 fn main() {
@@ -127,7 +54,7 @@ fn main() {
     report::heading("A3 / §3 — relay fan-out: aggregation and caching");
     let mut gate = InvariantGate::new("relay_fanout", &opts);
 
-    let updates: u64 = if opts.smoke { 3 } else { 10 };
+    let updates = spec(1, false, opts.smoke).updates_per_track;
     let sub_counts: &[usize] = if opts.smoke { &[1, 5] } else { &[1, 5, 20] };
     let mut t = Table::new(
         format!("{updates} updates to S subscribers: authoritative egress bytes"),
@@ -141,14 +68,10 @@ fn main() {
     );
     for (i, s) in sub_counts.iter().enumerate() {
         // Direct.
-        let mut direct = build(*s, false, 300 + i as u64);
-        push_updates(&mut direct, updates);
+        let mut direct = build(*s, false, 300 + i as u64, opts.smoke);
+        push_updates(&mut direct);
         let direct_egress = direct.sim.stats().bytes_out_of(direct.auth);
-        let delivered: u64 = direct
-            .subs
-            .iter()
-            .map(|n| direct.sim.node_ref::<TreeStub>(*n).updates)
-            .sum();
+        let delivered = direct.delivered_updates();
         gate.check_eq(
             &format!("s{s}_direct_delivery"),
             updates * *s as u64,
@@ -156,16 +79,12 @@ fn main() {
         );
 
         // Via relay.
-        let mut relayed = build(*s, true, 400 + i as u64);
-        push_updates(&mut relayed, updates);
-        let relay_id = relayed.relay.unwrap();
+        let mut relayed = build(*s, true, 400 + i as u64, opts.smoke);
+        push_updates(&mut relayed);
+        let relay_id = relayed.edges()[0];
         let auth_egress = relayed.sim.stats().bytes_out_of(relayed.auth);
         let relay_egress = relayed.sim.stats().bytes_out_of(relay_id);
-        let delivered: u64 = relayed
-            .subs
-            .iter()
-            .map(|n| relayed.sim.node_ref::<TreeStub>(*n).updates)
-            .sum();
+        let delivered = relayed.delivered_updates();
         gate.check_eq(
             &format!("s{s}_relayed_delivery"),
             updates * *s as u64,
@@ -173,7 +92,7 @@ fn main() {
         );
         // The relay's whole point: S downstream subscriptions cost ONE
         // upstream subscription, so the origin pushes each update once.
-        let relay = relayed.sim.node_ref::<RelayNode>(relay_id);
+        let relay = relayed.relay(relay_id);
         gate.check_eq(
             &format!("s{s}_single_upstream_subscription"),
             1,
@@ -205,27 +124,16 @@ fn main() {
 
     // Cache: a late joiner's fetch is served by the relay without touching
     // the authoritative server.
-    let mut b = build(3, true, 777);
-    push_updates(&mut b, 3);
-    let relay_id = b.relay.unwrap();
+    // Three updates whatever the scale: the smoke spec.
+    let mut b = build(3, true, 777, true);
+    push_updates(&mut b);
+    let relay_id = b.edges()[0];
     b.sim.stats_mut().reset();
-    let late = b.sim.add_node(
-        "late-joiner",
-        Box::new(TreeStub::new(
-            Addr::new(relay_id, MOQT_PORT),
-            vec![question()],
-            999,
-        )),
-    );
-    let deadline = b.sim.now() + Duration::from_secs(5);
-    b.sim.run_until(deadline);
-    let fetched = b.sim.node_ref::<TreeStub>(late).fetched > 0;
+    let (_, late) = b.attach(relay_id, None, &Cohort::new("late-joiner", 1, 999));
+    b.sim.run_for(Duration::from_secs(5));
+    let fetched = b.cohort_fetched(&late) > 0;
     let auth_touched = b.sim.stats().between(relay_id, b.auth).datagrams;
-    let hits = b
-        .sim
-        .node_ref::<RelayNode>(relay_id)
-        .stats()
-        .fetch_cache_hits;
+    let hits = b.relay(relay_id).stats().fetch_cache_hits;
     println!(
         "Late joiner: fetch answered = {fetched}, relay cache hits = {hits}, \
          relay→auth datagrams during join = {auth_touched} (cache absorbed the fetch)."

@@ -31,32 +31,26 @@
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::gate::InvariantGate;
 use moqdns_bench::report;
-use moqdns_bench::worlds::{AdversarialWorld, AttackKind};
+use moqdns_bench::worlds::{AttackKind, RelayWorld};
 use moqdns_core::adversary::{ByzantineNode, FetchBombNode, SlowLorisNode};
-use moqdns_core::relay_node::RelayNode;
+use moqdns_core::MOQT_PORT;
+use moqdns_netsim::Addr;
 use moqdns_stats::Table;
-use moqdns_workload::scenarios::AdversarialScenario;
+use moqdns_workload::scenarios::RelayTreeSpec;
 use std::time::Duration;
-
-/// Runs the update rounds against one world and settles.
-fn drive(world: &mut AdversarialWorld, spec: &AdversarialScenario) {
-    for round in 0..spec.updates_per_track {
-        world.update_round(10u8.wrapping_add((round as u8).wrapping_mul(13)));
-        let deadline = world.sim.now() + spec.update_interval;
-        world.sim.run_until(deadline);
-    }
-    let tail = world.sim.now() + Duration::from_secs(5);
-    world.sim.run_until(tail);
-}
 
 fn main() {
     let opts = BenchOpts::from_args();
     report::heading("E14 — adversarial survival drill");
     let spec = if opts.smoke {
-        AdversarialScenario::adversarial().smoke()
+        RelayTreeSpec::adversarial().smoke()
     } else {
-        AdversarialScenario::adversarial()
+        RelayTreeSpec::adversarial()
     };
+    let backlog = spec.relays[1]
+        .limits
+        .expect("hardened edges")
+        .session_backlog;
     let mut gate = InvariantGate::new("adversarial", &opts);
 
     let mut table = Table::new(
@@ -87,28 +81,22 @@ fn main() {
     .enumerate()
     {
         let label = attack.label();
-        let mut world = AdversarialWorld::build(&spec, attack, 71 + i as u64);
+        // Settle the honest tree, then let the attacker reach its target.
+        let mut world = RelayWorld::build(&spec, 71 + i as u64, 0);
+        let (target, twin) = (world.edges()[0], world.edges()[1]);
+        let node = attack.node(&spec, Addr::new(target, MOQT_PORT), world.questions.clone());
+        let attacker = world.attach_node(target, format!("attacker-{label}"), node);
+        world.sim.run_for(Duration::from_secs(1));
+
         let baseline = world.delivered_updates();
-        drive(&mut world, &spec);
-        let delivered = world.delivered_updates() - baseline;
-        let stats = world.target_edge_stats();
-        let state = world.target_edge_state_size();
-        let twin_state = world
-            .sim
-            .node_ref::<RelayNode>(world.edges[1])
-            .state_size_estimate();
-        if std::env::var_os("ADV_DEBUG").is_some() {
-            let (sess, conns) = world
-                .sim
-                .node_ref::<RelayNode>(world.edges[0])
-                .state_breakdown();
-            eprintln!("[{label}] attacked sessions={sess}B conns={conns:?}");
-            let (sess, conns) = world
-                .sim
-                .node_ref::<RelayNode>(world.edges[1])
-                .state_breakdown();
-            eprintln!("[{label}] twin     sessions={sess}B conns={conns:?}");
+        for round in 0..spec.updates_per_track {
+            world.update_round(10u8.wrapping_add((round as u8).wrapping_mul(13)));
         }
+        world.sim.run_for(Duration::from_secs(5));
+        let delivered = world.delivered_updates() - baseline;
+        let stats = world.relay(target).stats();
+        let state = world.relay(target).state_size_estimate();
+        let twin_state = world.relay(twin).state_size_estimate();
 
         // 1. Zero honest loss: the attacked tree still delivers every
         //    update to every honest stub.
@@ -122,7 +110,7 @@ fn main() {
         //    allowance of its untargeted twin.
         gate.check_le(
             &format!("{label}_edge_state_bounded"),
-            twin_state as u64 + spec.session_backlog as u64,
+            twin_state as u64 + backlog as u64,
             state as u64,
         );
 
@@ -132,16 +120,14 @@ fn main() {
                 gate.check_ge("byzantine_violations", 1, stats.violations);
                 gate.check_ge("byzantine_dropped_datagrams", 1, stats.dropped_datagrams);
                 let (closed, garbage, bogus, dups) =
-                    world
-                        .sim
-                        .with_node::<ByzantineNode, _>(world.attacker, |a, _| {
-                            (
-                                a.closed_by_peer,
-                                a.garbage_bursts,
-                                a.bogus_datagrams,
-                                a.duplicate_requests,
-                            )
-                        });
+                    world.sim.with_node::<ByzantineNode, _>(attacker, |a, _| {
+                        (
+                            a.closed_by_peer,
+                            a.garbage_bursts,
+                            a.bogus_datagrams,
+                            a.duplicate_requests,
+                        )
+                    });
                 gate.check_ge("byzantine_sessions_closed", 1, closed);
                 gate.metric("byzantine_garbage_bursts", garbage);
                 gate.metric("byzantine_bogus_datagrams", bogus);
@@ -152,18 +138,15 @@ fn main() {
                 gate.check_ge("slow_loris_evictions", 1, stats.evicted_sessions);
                 let (subs, swallowed) = world
                     .sim
-                    .with_node::<SlowLorisNode, _>(world.attacker, |a, _| {
-                        (a.subs_sent, a.swallowed)
-                    });
+                    .with_node::<SlowLorisNode, _>(attacker, |a, _| (a.subs_sent, a.swallowed));
                 gate.check_ge("slow_loris_subscribed", spec.tracks as u64, subs);
                 gate.metric("slow_loris_swallowed", swallowed);
             }
             AttackKind::FetchBomb => {
                 gate.check_ge("fetch_bomb_throttled", 1, stats.throttled_fetches);
                 gate.check_ge("fetch_bomb_evictions", 1, stats.evicted_sessions);
-                let (sent, rejected, closed) = world
-                    .sim
-                    .with_node::<FetchBombNode, _>(world.attacker, |a, _| {
+                let (sent, rejected, closed) =
+                    world.sim.with_node::<FetchBombNode, _>(attacker, |a, _| {
                         (a.fetches_sent, a.fetches_rejected, a.closed_by_peer)
                     });
                 gate.check_ge(

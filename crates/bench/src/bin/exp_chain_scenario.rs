@@ -3,9 +3,9 @@
 //! §5.3 assumes distribution paths "involving 5 MoQ relays on average".
 //! The 3-tier tree (E10) and the mesh (E11) check aggregation at breadth;
 //! this drill checks it at **depth**: a straight origin → hop1 → … →
-//! hop5 → stubs chain built by `TopoBuilder::chain`, where any relay
-//! that failed to aggregate would multiply traffic at *every* following
-//! hop. Machine-checked:
+//! hop5 → stubs chain (the `chain` preset of `RelayTreeSpec`), where any
+//! relay that failed to aggregate would multiply traffic at *every*
+//! following hop. Machine-checked:
 //!
 //! 1. the joining-fetch stampede collapses to ONE upstream fetch per
 //!    track at every hop (the deepest hop absorbs the stubs' stampede,
@@ -22,109 +22,35 @@
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::gate::InvariantGate;
 use moqdns_bench::report;
-use moqdns_bench::worlds::TreeStub;
-use moqdns_core::auth::AuthServer;
-use moqdns_core::relay_node::RelayNode;
-use moqdns_core::MOQT_PORT;
-use moqdns_dns::message::Question;
-use moqdns_dns::name::Name;
-use moqdns_dns::rdata::RData;
-use moqdns_dns::rr::{Record, RecordType};
-use moqdns_dns::server::Authority;
-use moqdns_dns::zone::Zone;
-use moqdns_netsim::topo::TopoBuilder;
-use moqdns_netsim::{Addr, LinkConfig, NodeId, Simulator};
-use moqdns_quic::TransportConfig;
+use moqdns_bench::worlds::RelayWorld;
 use moqdns_stats::Table;
-use moqdns_workload::scenarios::ChainScenario;
-use std::net::Ipv4Addr;
+use moqdns_workload::scenarios::RelayTreeSpec;
 use std::time::Duration;
-
-fn record_name(i: usize) -> Name {
-    format!("r{i}.chain.example").parse().unwrap()
-}
 
 fn main() {
     let opts = BenchOpts::from_args();
     report::heading("E13 / §5.3 — depth-5 relay chain");
     let spec = if opts.smoke {
-        ChainScenario::chain().smoke()
+        RelayTreeSpec::chain().smoke()
     } else {
-        ChainScenario::chain()
+        RelayTreeSpec::chain()
     };
     let mut gate = InvariantGate::new("chain", &opts);
 
-    let mut sim = Simulator::new(51);
-    let link = LinkConfig::with_delay(spec.link_delay);
-    sim.set_default_link(link);
-    let mut zone = Zone::with_default_soa("chain.example".parse().unwrap());
-    for i in 0..spec.tracks {
-        zone.add_record(Record::new(
-            record_name(i),
-            60,
-            RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-        ));
-    }
-    let questions: Vec<Question> = (0..spec.tracks)
-        .map(|i| Question::new(record_name(i), RecordType::A))
-        .collect();
-    let qs = questions.clone();
-
-    let topo = TopoBuilder::chain("auth", spec.hops, link)
-        .tier("stub", spec.stubs, 1, link)
-        .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-            "auth" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(AuthServer::new(
-                    Authority::single(zone.clone()),
-                    TransportConfig::default()
-                        .idle_timeout(Duration::from_secs(3600))
-                        .keep_alive(Duration::from_secs(25)),
-                    11,
-                )),
-            ),
-            name if name.starts_with("hop") => sim.add_node(
-                ctx.name.clone(),
-                Box::new(
-                    RelayNode::new(
-                        Addr::new(ctx.parents[0], MOQT_PORT),
-                        0,
-                        40 + ctx.index as u64,
-                    )
-                    .tier(name),
-                ),
-            ),
-            _ => sim.add_node(
-                ctx.name.clone(),
-                Box::new(TreeStub::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    qs.clone(),
-                    100 + ctx.index as u64,
-                )),
-            ),
-        });
-
-    // Settle: connections, joining-fetch stampede, chained subscriptions.
-    sim.run_until(sim.now() + Duration::from_secs(5));
-
-    let auth = topo.tier_named("auth")[0];
-    let hops: Vec<NodeId> = (1..=spec.hops)
-        .map(|i| topo.tier_named(&format!("hop{i}"))[0])
-        .collect();
-    let stubs: Vec<NodeId> = topo.tier_named("stub").to_vec();
+    // Build + settle: connections, joining-fetch stampede, chained
+    // subscriptions.
+    let mut w = RelayWorld::build(&spec, 51, 0);
+    let hops: Vec<_> = w.relays.iter().map(|tier| tier[0]).collect();
+    let n_stubs = spec.stub_count();
 
     // ---- Stampede at depth -------------------------------------------
-    let fetched: u64 = stubs
-        .iter()
-        .map(|&s| sim.node_ref::<TreeStub>(s).fetched)
-        .sum();
     gate.check_eq(
         "stampede_fetches_answered",
-        (spec.stubs * spec.tracks) as u64,
-        fetched,
+        spec.subscription_count(),
+        w.fetched_total(),
     );
     for (i, &h) in hops.iter().enumerate() {
-        let s = sim.node_ref::<RelayNode>(h).stats();
+        let s = w.relay(h).stats();
         // One upstream fetch per track per hop: the deepest hop coalesces
         // the stub stampede; each hop above sees exactly one per track.
         gate.check_eq(
@@ -133,62 +59,32 @@ fn main() {
             s.upstream_fetches,
         );
     }
-    let deepest = sim.node_ref::<RelayNode>(*hops.last().unwrap()).stats();
+    let deepest = w.relay(*hops.last().unwrap()).stats();
     gate.check_eq(
         "deepest_hop_coalesced",
-        (spec.stubs * spec.tracks - spec.tracks) as u64,
+        (n_stubs * spec.tracks - spec.tracks) as u64,
         deepest.fetch_coalesced,
     );
     gate.metric("stampede_deepest_misses", deepest.fetch_cache_misses);
     gate.metric("stampede_deepest_coalesced", deepest.fetch_coalesced);
 
     // ---- Update rounds: one copy per hop link ------------------------
-    sim.stats_mut().reset();
-    let baseline: u64 = stubs
-        .iter()
-        .map(|&s| sim.node_ref::<TreeStub>(s).updates)
-        .sum();
+    w.sim.stats_mut().reset();
+    let baseline = w.delivered_updates();
     for round in 0..spec.updates_per_track {
-        for i in 0..spec.tracks {
-            let name = record_name(i);
-            sim.with_node::<AuthServer, _>(auth, |a, ctx| {
-                a.update_zone(ctx, |authority| {
-                    if let Some(z) = authority.find_zone_mut(&name) {
-                        z.set_records(
-                            &name,
-                            RecordType::A,
-                            vec![Record::new(
-                                name.clone(),
-                                60,
-                                RData::A(Ipv4Addr::new(
-                                    198,
-                                    51,
-                                    100,
-                                    10 + round as u8 * 16 + i as u8,
-                                )),
-                            )],
-                        );
-                    }
-                });
-            });
-        }
-        sim.run_until(sim.now() + Duration::from_secs(2));
+        w.update_round(10 + round as u8 * 16);
     }
-    sim.run_until(sim.now() + Duration::from_secs(5));
+    w.sim.run_for(Duration::from_secs(5));
 
-    let delivered: u64 = stubs
-        .iter()
-        .map(|&s| sim.node_ref::<TreeStub>(s).updates)
-        .sum::<u64>()
-        - baseline;
+    let delivered = w.delivered_updates() - baseline;
     gate.check_eq("complete_delivery", spec.expected_deliveries(), delivered);
     // One datagram per update per hop link, at every depth.
-    let mut upstream = auth;
+    let mut upstream = w.auth;
     for (i, &h) in hops.iter().enumerate() {
-        let got = sim.stats().between(upstream, h).delivered;
+        let got = w.sim.stats().between(upstream, h).delivered;
         gate.check_eq(
             &format!("into_hop{}_one_copy_per_update", i + 1),
-            spec.total_updates() * spec.copies_per_link(),
+            spec.total_updates(),
             got,
         );
         gate.metric(&format!("hop{}_link_datagrams", i + 1), got);
@@ -200,7 +96,11 @@ fn main() {
     let mut t = Table::new(
         format!(
             "{}: depth-{} chain, {} tracks x {} updates to {} stubs",
-            spec.name, spec.hops, spec.tracks, spec.updates_per_track, spec.stubs
+            spec.name,
+            hops.len(),
+            spec.tracks,
+            spec.updates_per_track,
+            n_stubs
         ),
         &[
             "hop",
@@ -211,7 +111,7 @@ fn main() {
         ],
     );
     for (i, &h) in hops.iter().enumerate() {
-        let s = sim.node_ref::<RelayNode>(h).stats();
+        let s = w.relay(h).stats();
         t.push(&[
             format!("hop{}", i + 1),
             s.fetch_cache_misses.to_string(),
@@ -225,7 +125,7 @@ fn main() {
     println!(
         "Depth-{} chain: one fetch per track per hop, one copy per update \
          per link, {}/{} deliveries.\n",
-        spec.hops,
+        hops.len(),
         delivered,
         spec.expected_deliveries()
     );

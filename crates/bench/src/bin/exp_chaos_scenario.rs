@@ -2,7 +2,8 @@
 //! metro-scale federation, gating the recovery invariants the paper's
 //! always-on distribution tree depends on.
 //!
-//! The world is [`MetroWorld`] plus a *chaos edge* in region 0 carrying a
+//! The world is the metro federation ([`RelayTreeSpec::chaos`]) plus a
+//! *chaos edge* in region 0 carrying a
 //! cohort of short-idle, auto-redialing stubs (the crash target). Four
 //! phases, each pushing a full update round:
 //!
@@ -28,71 +29,67 @@
 //! Run with `--smoke` for the CI variant and `--check` for the
 //! machine-readable gate (`results/ci_chaos.json`).
 //!
-//! [`MetroWorld`]: moqdns_bench::worlds::MetroWorld
+//! [`RelayTreeSpec::chaos`]: moqdns_workload::scenarios::RelayTreeSpec::chaos
 
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::gate::InvariantGate;
 use moqdns_bench::report;
-use moqdns_bench::worlds::ChaosWorld;
-use moqdns_stats::Table;
-use moqdns_workload::scenarios::ChaosScenario;
+use moqdns_bench::worlds::RelayWorld;
+use moqdns_workload::scenarios::RelayTreeSpec;
 use std::time::{Duration, Instant};
 
 fn main() {
     let opts = BenchOpts::from_args();
     report::heading("E14 / robustness — composed fault plan on the metro federation");
     let spec = if opts.smoke {
-        ChaosScenario::chaos().smoke()
+        RelayTreeSpec::chaos().smoke()
     } else {
-        ChaosScenario::chaos()
+        RelayTreeSpec::chaos()
     };
-    let metro = spec.metro;
+    let drill = spec.chaos.expect("the chaos preset has a drill");
+    let cohort_subs = spec.cohort_subscriptions(drill.stubs);
     let mut gate = InvariantGate::new("chaos", &opts);
     let wall = Instant::now();
 
     // ---- Build + joining-fetch stampede ------------------------------
     let t_build = Instant::now();
-    let mut w = ChaosWorld::build_with_workers(&spec, 93, opts.par);
+    let mut w = RelayWorld::build(&spec, 93, opts.par);
     let build_ms = t_build.elapsed().as_millis();
     gate.check_eq(
         "stampede_fetches_answered",
-        metro.subscription_count(),
-        w.metro.fetched_total(),
+        spec.subscription_count(),
+        w.fetched_total(),
     );
     gate.check_eq(
         "chaos_cohort_joining_fetches",
-        spec.chaos_subscriptions(),
+        cohort_subs,
         w.chaos_fetched(),
     );
     println!(
         "Built metro + chaos edge: {} stubs plus a {}-stub redial cohort \
          (idle {:?}, redial {:?}; build {} ms).\n",
-        metro.stub_count(),
-        spec.chaos_stubs,
-        spec.stub_idle,
-        spec.stub_redial,
+        spec.stub_count(),
+        drill.stubs,
+        drill.stub_idle,
+        drill.stub_redial,
         build_ms,
     );
 
     // ---- Phase 1: clean round ----------------------------------------
     let t1 = Instant::now();
-    w.metro.update_round(10);
-    let settle = w.metro.sim.now() + Duration::from_secs(2);
-    w.metro.sim.run_until(settle);
+    w.update_round(10);
+    w.sim.run_for(Duration::from_secs(2));
     gate.check_eq(
         "clean_round_delivery",
-        metro.subscription_count(),
-        w.metro.delivered_updates(),
+        spec.subscription_count(),
+        w.delivered_updates(),
     );
-    gate.check_eq(
-        "clean_chaos_delivery",
-        spec.chaos_subscriptions(),
-        w.chaos_delivered(),
-    );
+    gate.check_eq("clean_chaos_delivery", cohort_subs, w.chaos_delivered());
     gate.check_eq("clean_regressions", 0, w.total_regressions());
     // Steady-state envelope for the crash drill's high-water gate.
-    let steady_sessions = w.edge_sessions();
-    let steady_state = w.edge_state();
+    let edge = w.chaos_edge.expect("the chaos world has a chaos edge");
+    let steady_sessions = w.relay(edge).session_count();
+    let steady_state = w.relay(edge).state_size_estimate();
     gate.metric("edge_steady_sessions", steady_sessions as u64);
     gate.metric("edge_steady_state", steady_state as u64);
     println!(
@@ -107,19 +104,15 @@ fn main() {
     w.flap_drill(30);
     gate.check_eq(
         "flap_eventual_delivery",
-        2 * metro.subscription_count(),
-        w.metro.delivered_updates(),
+        2 * spec.subscription_count(),
+        w.delivered_updates(),
     );
-    gate.check_eq(
-        "flap_chaos_delivery",
-        2 * spec.chaos_subscriptions(),
-        w.chaos_delivered(),
-    );
+    gate.check_eq("flap_chaos_delivery", 2 * cohort_subs, w.chaos_delivered());
     gate.check_eq("flap_no_duplicates", 0, w.total_regressions());
     println!(
         "Flapped auth<->core{busiest} ({:?} at 100% loss) across a round: \
          every object delivered exactly once after the heal ({} ms).\n",
-        spec.flap_len,
+        drill.flap_len,
         t2.elapsed().as_millis(),
     );
 
@@ -129,20 +122,20 @@ fn main() {
     w.partition_drill(50);
     gate.check_eq(
         "partition_eventual_delivery",
-        3 * metro.subscription_count(),
-        w.metro.delivered_updates(),
+        3 * spec.subscription_count(),
+        w.delivered_updates(),
     );
     gate.check_eq(
         "partition_chaos_delivery",
-        3 * spec.chaos_subscriptions(),
+        3 * cohort_subs,
         w.chaos_delivered(),
     );
     gate.check_eq("partition_no_duplicates", 0, w.total_regressions());
     println!(
         "Partitioned region {} for {:?} across a round: the isolated \
          region drained completely on reunion ({} ms).\n",
-        spec.partition_region,
-        spec.partition_len,
+        drill.partition_region,
+        drill.partition_len,
         t3.elapsed().as_millis(),
     );
 
@@ -155,28 +148,24 @@ fn main() {
     // must see the post-recovery round in full.
     gate.check_eq(
         "crash_bystander_delivery",
-        5 * metro.subscription_count(),
-        w.metro.delivered_updates(),
+        5 * spec.subscription_count(),
+        w.delivered_updates(),
     );
     gate.check_eq(
         "crash_chaos_post_recovery_delivery",
-        4 * spec.chaos_subscriptions(),
+        4 * cohort_subs,
         w.chaos_delivered(),
     );
     gate.check_eq("crash_no_duplicates", 0, w.total_regressions());
     // Rejoin: one fresh joining fetch per (stub, track) on top of the
     // stampede ones.
-    gate.check_eq(
-        "crash_rejoin_fetches",
-        2 * spec.chaos_subscriptions(),
-        w.chaos_fetched(),
-    );
+    gate.check_eq("crash_rejoin_fetches", 2 * cohort_subs, w.chaos_fetched());
     let redials = w.chaos_redials();
     let redialed = redials.iter().filter(|&&r| r >= 1).count();
-    gate.check_eq("crash_every_stub_redialed", spec.chaos_stubs, redialed);
+    gate.check_eq("crash_every_stub_redialed", drill.stubs, redialed);
     gate.check_le(
         "crash_redials_bounded",
-        spec.chaos_stubs as u64 * spec.redials_per_stub_bound(),
+        drill.stubs as u64 * drill.redials_per_stub_bound(),
         redials.iter().sum(),
     );
     gate.metric("crash_total_redials", redials.iter().sum());
@@ -185,29 +174,32 @@ fn main() {
     gate.check_eq(
         "crash_edge_sessions_recovered",
         steady_sessions as u64,
-        w.edge_sessions() as u64,
+        w.relay(edge).session_count() as u64,
     );
+    let recovered_state = w.relay(edge).state_size_estimate() as u64;
     gate.check_le(
         "crash_edge_state_high_water",
         (steady_state as u64).saturating_mul(3) / 2,
-        w.edge_state() as u64,
+        recovered_state,
     );
-    gate.metric("edge_recovered_state", w.edge_state() as u64);
+    gate.metric("edge_recovered_state", recovered_state);
     println!(
         "Crashed the chaos edge for {:?}: {} total redials across {} \
          stubs, all re-attached and current after restart ({} ms).\n",
-        spec.edge_downtime,
+        drill.edge_downtime,
         redials.iter().sum::<u64>(),
-        spec.chaos_stubs,
+        drill.stubs,
         t4.elapsed().as_millis(),
     );
 
     // ---- Tables -------------------------------------------------------
-    let mut t = Table::new(
+    let tiers = w.tier_stats();
+    let t = report::tier_table(
         format!(
             "{}: per-tier relay stats after the full fault sequence",
             spec.name
         ),
+        &tiers,
         &[
             "tier",
             "relays",
@@ -218,19 +210,7 @@ fn main() {
             "failed dials",
         ],
     );
-    let mut relay_redials = 0;
-    for tier in w.metro.tier_stats() {
-        relay_redials += tier.totals.redials;
-        t.push(&[
-            tier.tier.clone(),
-            tier.relays.to_string(),
-            tier.totals.downstream_subscribes.to_string(),
-            tier.totals.objects_forwarded.to_string(),
-            tier.totals.upstream_fetches.to_string(),
-            tier.totals.redials.to_string(),
-            tier.totals.failed_dials.to_string(),
-        ]);
-    }
+    let relay_redials = tiers.iter().map(|t| t.totals.redials).sum();
     report::emit(&t, "exp_chaos_tiers");
     // Relay-tier uplink redials: none of these faults severs a relay's
     // established uplink long enough to close it (long-idle transports),

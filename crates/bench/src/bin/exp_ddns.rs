@@ -4,33 +4,23 @@
 //!
 //! Two parts: (a) the paper's analytic estimate, reproduced from
 //! [`DdnsScenario`]; (b) a scaled micro-simulation — one DDNS
-//! authoritative server, one relay, S subscribers, built via
-//! `netsim::topo` — validating the per-update byte count and the relay
-//! fan-out the analytic model assumes. (The full 3-tier tree version
-//! lives in `exp_tree_scenario`.)
+//! authoritative server, one relay, S subscribers (the
+//! [`RelayTreeSpec::ddns`] preset) — validating the per-update byte
+//! count and the relay fan-out the analytic model assumes. (The full
+//! 3-tier tree version lives in `exp_tree_scenario`.)
 //!
 //! Run with `--smoke` for a scaled-down CI variant and `--check` to emit
 //! the machine-readable invariant summary (`results/ci_ddns.json`) and
 //! exit nonzero on any violation.
+//!
+//! [`RelayTreeSpec::ddns`]: moqdns_workload::scenarios::RelayTreeSpec::ddns
 
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::gate::InvariantGate;
 use moqdns_bench::report;
-use moqdns_bench::worlds::TreeStub;
-use moqdns_core::auth::AuthServer;
-use moqdns_core::relay_node::RelayNode;
-use moqdns_core::MOQT_PORT;
-use moqdns_dns::message::Question;
-use moqdns_dns::rdata::RData;
-use moqdns_dns::rr::{Record, RecordType};
-use moqdns_dns::server::Authority;
-use moqdns_dns::zone::Zone;
-use moqdns_netsim::topo::TopoBuilder;
-use moqdns_netsim::{Addr, LinkConfig, SimTime, Simulator};
-use moqdns_quic::TransportConfig;
+use moqdns_bench::worlds::RelayWorld;
 use moqdns_stats::{format_bps, Table};
-use moqdns_workload::scenarios::DdnsScenario;
-use std::net::Ipv4Addr;
+use moqdns_workload::scenarios::{DdnsScenario, RelayTreeSpec};
 use std::time::Duration;
 
 fn main() {
@@ -63,88 +53,31 @@ fn main() {
 
     // (b) Micro-simulation: 1 DDNS zone behind a relay, S interested
     // subscribers, 2 updates.
-    let subs_n: usize = if opts.smoke { 5 } else { 20 };
-    let mut sim = Simulator::new(61);
-    let link = LinkConfig::with_delay(Duration::from_millis(15));
-    sim.set_default_link(link);
-    let name: moqdns_dns::name::Name = "home.ddns.example".parse().unwrap();
-    let mut zone = Zone::with_default_soa("ddns.example".parse().unwrap());
-    zone.add_record(Record::new(
-        name.clone(),
-        60,
-        RData::A(Ipv4Addr::new(192, 0, 2, 1)),
-    ));
-    let q = Question::new(name.clone(), RecordType::A);
-
-    let topo = TopoBuilder::new()
-        .tier("ddns-auth", 1, 0, link)
-        .tier("relay", 1, 1, link)
-        .tier("sub", subs_n, 1, link)
-        .build(&mut sim, |sim, ctx| match ctx.tier_name {
-            "ddns-auth" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(AuthServer::new(
-                    Authority::single(zone.clone()),
-                    TransportConfig::default(),
-                    1,
-                )),
-            ),
-            "relay" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(RelayNode::new(Addr::new(ctx.parents[0], MOQT_PORT), 0, 2)),
-            ),
-            _ => sim.add_node(
-                ctx.name.clone(),
-                Box::new(TreeStub::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    vec![q.clone()],
-                    10 + ctx.index as u64,
-                )),
-            ),
-        });
-    let auth = topo.tier_named("ddns-auth")[0];
-    let relay = topo.tier_named("relay")[0];
-    let subs = topo.tier_named("sub").to_vec();
-
-    sim.run_until(SimTime::from_secs(5));
-    sim.stats_mut().reset();
-    let t0 = sim.now();
+    let spec = if opts.smoke {
+        RelayTreeSpec::ddns().smoke()
+    } else {
+        RelayTreeSpec::ddns()
+    };
+    let subs_n = spec.stub_count();
+    let mut w = RelayWorld::build(&spec, 61, 0);
+    let (auth, relay) = (w.auth, w.edges()[0]);
+    w.sim.stats_mut().reset();
+    let t0 = w.sim.now();
 
     // Two updates (the per-day rate, compressed).
-    for (i, octet) in [50u8, 51].iter().enumerate() {
-        let at = t0 + Duration::from_secs(10 * (i as u64 + 1));
-        let o = *octet;
-        let nm = name.clone();
-        sim.schedule_at(at, move |sim| {
-            sim.with_node::<AuthServer, _>(auth, |a, ctx| {
-                a.update_zone(ctx, |authority| {
-                    if let Some(z) = authority.find_zone_mut(&nm) {
-                        z.set_records(
-                            &nm,
-                            RecordType::A,
-                            vec![Record::new(
-                                nm.clone(),
-                                60,
-                                RData::A(Ipv4Addr::new(203, 0, 113, o)),
-                            )],
-                        );
-                    }
-                });
-            });
-        });
+    for (i, octet) in [50u8, 51].into_iter().enumerate() {
+        w.schedule_update(t0 + spec.update_interval * (i as u32 + 1), 0, octet);
     }
-    sim.run_until(t0 + Duration::from_secs(40));
+    w.sim.run_for(Duration::from_secs(40));
 
-    let delivered: u64 = subs
+    let delivered = w.delivered_updates();
+    let auth_egress = w.sim.stats().between(auth, relay);
+    let relay_fanout: u64 = w
+        .stubs
         .iter()
-        .map(|s| sim.node_ref::<TreeStub>(*s).updates)
+        .map(|s| w.sim.stats().between(relay, *s).bytes)
         .sum();
-    let auth_egress = sim.stats().between(auth, relay);
-    let relay_fanout: u64 = subs
-        .iter()
-        .map(|s| sim.stats().between(relay, *s).bytes)
-        .sum();
-    let agg = sim.node_ref::<RelayNode>(relay).aggregation_factor();
+    let agg = w.relay(relay).aggregation_factor();
 
     let mut t2 = Table::new(
         format!("Micro-simulation: 1 DDNS record, 1 relay, {subs_n} subscribers, 2 updates"),
@@ -176,7 +109,7 @@ fn main() {
     );
     // Forwarded-copy accounting for the CI baseline diff: the relay turns
     // one upstream copy per update into exactly one copy per subscriber.
-    let forwarded = sim.node_ref::<RelayNode>(relay).stats().objects_forwarded;
+    let forwarded = w.relay(relay).stats().objects_forwarded;
     gate.check_eq("relay_forwarded_copies", 2 * subs_n as u64, forwarded);
     gate.metric("deliveries", delivered);
     gate.metric("relay_objects_forwarded", forwarded);

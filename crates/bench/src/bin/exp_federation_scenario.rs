@@ -5,9 +5,9 @@
 //! shard routing happens at the edges. A production multi-region
 //! deployment cannot do that: edges attach *regionally* and the core
 //! tier itself must resolve non-home tracks. This binary instantiates
-//! the [`FederationScenario`] — origin → K regional cores (full-mesh
-//! peer links, one hash shard each) → region-local edges → stubs — and
-//! machine-checks:
+//! the federation preset of [`RelayTreeSpec`] — origin → K regional
+//! cores (full-mesh peer links, one hash shard each) → region-local
+//! edges → stubs — and machine-checks:
 //!
 //! 1. **origin offload**: under the all-stubs-join-all-tracks stampede,
 //!    each non-home core fetches a shard's tracks from the home *peer*
@@ -32,40 +32,33 @@
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::gate::InvariantGate;
 use moqdns_bench::report;
-use moqdns_bench::worlds::{FederationWorld, TreeStub};
-use moqdns_core::relay_node::RelayNode;
-use moqdns_stats::Table;
-use moqdns_workload::scenarios::FederationScenario;
+use moqdns_bench::worlds::{RelayWorld, TreeStub};
+use moqdns_workload::scenarios::RelayTreeSpec;
 use std::time::Duration;
 
 fn main() {
     let opts = BenchOpts::from_args();
     report::heading("E12 / §3+§5.3 — cross-region core federation");
     let spec = if opts.smoke {
-        FederationScenario::federation().smoke()
+        RelayTreeSpec::federation().smoke()
     } else {
-        FederationScenario::federation()
+        RelayTreeSpec::federation()
     };
     let mut gate = InvariantGate::new("federation", &opts);
 
     // ---- Build + joining-fetch stampede ------------------------------
     // Every stub subscribes to every track through its regional edge at
     // t=0. Each core must resolve non-home tracks over peer links.
-    let mut w = FederationWorld::build(&spec, 91);
-    let fetched: u64 = w
-        .stubs
-        .iter()
-        .map(|&s| w.sim.node_ref::<TreeStub>(s).fetched)
-        .sum();
+    let mut w = RelayWorld::build(&spec, 91, 0);
     gate.check_eq(
         "stampede_fetches_answered",
-        spec.stub_count() as u64 * spec.tracks as u64,
-        fetched,
+        spec.subscription_count(),
+        w.fetched_total(),
     );
     let mut peer_fetch_total = 0;
     let mut origin_fetch_total = 0;
-    for (c, &core) in w.cores.clone().iter().enumerate() {
-        let s = w.sim.node_ref::<RelayNode>(core).stats();
+    for (c, &core) in w.cores().iter().enumerate() {
+        let s = w.relay(core).stats();
         let origin_fetches = s.upstream_fetches - s.peer_fetches;
         // Every track homed on a *peer* shard was fetched from its home
         // core exactly once, however many regional edges stampeded.
@@ -88,17 +81,12 @@ fn main() {
         spec.peer_fetch_total(),
         peer_fetch_total,
     );
-    gate.check_eq(
-        "origin_fetch_total",
-        spec.origin_fetch_bound(),
-        origin_fetch_total,
-    );
-    for (i, &e) in w.edges.clone().iter().enumerate() {
-        let s = w.sim.node_ref::<RelayNode>(e).stats();
+    gate.check_eq("origin_fetch_total", spec.tracks as u64, origin_fetch_total);
+    for (i, &e) in w.edges().iter().enumerate() {
         gate.check_eq(
             &format!("edge{i}_upstream_fetches"),
             spec.tracks as u64,
-            s.upstream_fetches,
+            w.relay(e).stats().upstream_fetches,
         );
     }
     let measured_offload = 100 * peer_fetch_total / (peer_fetch_total + origin_fetch_total);
@@ -124,21 +112,21 @@ fn main() {
     w.sim.stats_mut().reset();
     let baseline = w.delivered_updates();
     let peer_objects_before: Vec<u64> = w
-        .cores
+        .cores()
         .iter()
-        .map(|&c| w.sim.node_ref::<RelayNode>(c).stats().peer_objects)
+        .map(|&c| w.relay(c).stats().peer_objects)
         .collect();
     for round in 0..spec.updates_per_track {
         w.update_round(10 + (round as u8) * 16);
     }
-    w.sim.run_until(w.sim.now() + Duration::from_secs(5));
+    w.sim.run_for(Duration::from_secs(5));
     gate.check_eq(
         "complete_delivery",
         spec.expected_deliveries(),
         w.delivered_updates() - baseline,
     );
     // Origin egress: one copy per update, toward the home core only.
-    for (c, &core) in w.cores.clone().iter().enumerate() {
+    for (c, &core) in w.cores().iter().enumerate() {
         let got = w.sim.stats().between(w.auth, core).delivered;
         gate.check_eq(
             &format!("origin_to_core{c}_one_copy"),
@@ -147,8 +135,7 @@ fn main() {
         );
         // Peer-link ingress: every non-home update entered this core
         // exactly once, over the peer link from its home core.
-        let peer_objs =
-            w.sim.node_ref::<RelayNode>(core).stats().peer_objects - peer_objects_before[c];
+        let peer_objs = w.relay(core).stats().peer_objects - peer_objects_before[c];
         gate.check_eq(
             &format!("core{c}_peer_ingress_one_copy"),
             spec.updates_per_track * (spec.tracks - w.shard_size(c)) as u64,
@@ -163,11 +150,11 @@ fn main() {
     // the origin→home-core path; every other region pays the extra
     // (slower) core→core peer hop.
     let home = w.home_core(0);
-    let remote = (home + 1) % spec.cores;
+    let remote = (home + 1) % spec.regions();
     let t0 = w.sim.now();
     w.update_track(0, 199);
-    w.sim.run_until(w.sim.now() + Duration::from_secs(3));
-    let region_latency = |w: &FederationWorld, region: usize| -> u64 {
+    w.sim.run_for(Duration::from_secs(3));
+    let region_latency = |w: &RelayWorld, region: usize| -> u64 {
         w.region_stubs(region)
             .iter()
             .filter_map(|&s| w.sim.node_ref::<TreeStub>(s).last_update_at)
@@ -196,14 +183,14 @@ fn main() {
     // ---- Origin-kill drill: published tracks keep flowing ------------
     report::heading("Drill: killing the origin, then cold-joining every region");
     w.kill_origin();
-    w.sim.run_until(w.sim.now() + Duration::from_secs(3));
+    w.sim.run_for(Duration::from_secs(3));
     // The core tier keeps its region-to-region subscriptions: only the
     // origin-bound parent subscriptions are gone.
-    for (c, &core) in w.cores.clone().iter().enumerate() {
+    for (c, &core) in w.cores().iter().enumerate() {
         gate.check_eq(
             &format!("core{c}_peer_subs_survive_origin_death"),
             (spec.tracks - w.shard_size(c)) as u64,
-            w.sim.node_ref::<RelayNode>(core).peer_subscription_count() as u64,
+            w.relay(core).peer_subscription_count() as u64,
         );
     }
     // A brand-new edge with fresh stubs in every region: all joining
@@ -212,36 +199,36 @@ fn main() {
     // real loss.
     let late_per_edge = 2usize;
     let mut late_stubs = Vec::new();
-    for region in 0..spec.cores {
+    for region in 0..spec.regions() {
         let (_edge, stubs) = w.add_late_edge(region, late_per_edge);
         late_stubs.extend(stubs);
     }
-    w.sim.run_until(w.sim.now() + Duration::from_secs(5));
-    let late_fetched: u64 = late_stubs
-        .iter()
-        .map(|&s| w.sim.node_ref::<TreeStub>(s).fetched)
-        .sum();
+    w.sim.run_for(Duration::from_secs(5));
+    let late_fetched = w.cohort_fetched(&late_stubs);
     gate.check_eq(
         "post_kill_zero_loss_for_published_tracks",
-        (spec.cores * late_per_edge * spec.tracks) as u64,
+        (spec.regions() * late_per_edge * spec.tracks) as u64,
         late_fetched,
     );
     gate.metric("post_kill_late_fetches_answered", late_fetched);
     println!(
         "Origin died; {} cold joining fetches across {} regions were all \
          served from the federated core tier.\n",
-        late_fetched, spec.cores
+        late_fetched,
+        spec.regions()
     );
 
     // ---- Tables -------------------------------------------------------
-    let mut t = Table::new(
+    let tiers = w.tier_stats();
+    let t = report::tier_table(
         format!(
             "{}: per-tier relay stats ({} federated cores/regions x {} edges, {} stubs)",
             spec.name,
-            spec.cores,
-            spec.edges_per_region,
+            spec.regions(),
+            spec.edge_count() / spec.regions(),
             spec.stub_count()
         ),
+        &tiers,
         &[
             "tier",
             "relays",
@@ -256,23 +243,8 @@ fn main() {
             "rebalances",
         ],
     );
-    for tier in w.tier_stats() {
-        t.push(&[
-            tier.tier.clone(),
-            tier.relays.to_string(),
-            tier.totals.downstream_subscribes.to_string(),
-            tier.upstream_subscriptions.to_string(),
-            tier.totals.objects_forwarded.to_string(),
-            tier.totals.upstream_fetches.to_string(),
-            tier.totals.peer_fetches.to_string(),
-            tier.totals.peer_objects.to_string(),
-            tier.totals.origin_offload.to_string(),
-            tier.totals.reroutes.to_string(),
-            tier.totals.rebalances.to_string(),
-        ]);
-    }
     report::emit(&t, "exp_federation_tiers");
-    for tier in w.tier_stats() {
+    for tier in &tiers {
         gate.metric(
             &format!("{}_objects_forwarded", tier.tier),
             tier.totals.objects_forwarded,

@@ -2,9 +2,10 @@
 //!
 //! The paper's distribution argument needs more than a single tree: §5.3
 //! assumes deep multi-relay paths and relays that aggregate *all*
-//! downstream demand. This binary instantiates the [`MeshScenario`] —
-//! origin → K core relays (one hash shard each) → per-region edge relays
-//! sharding tracks across all cores → stubs — and machine-checks:
+//! downstream demand. This binary instantiates the mesh preset of
+//! [`RelayTreeSpec`] — origin → K core relays (one hash shard each) →
+//! per-region edge relays sharding tracks across all cores → stubs — and
+//! machine-checks:
 //!
 //! 1. **stampede coalescing**: all stubs issue joining fetches for the
 //!    same tracks at once, yet each edge opens exactly one upstream fetch
@@ -24,49 +25,42 @@
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::gate::InvariantGate;
 use moqdns_bench::report;
-use moqdns_bench::worlds::{MeshWorld, TreeStub};
-use moqdns_core::relay_node::RelayNode;
-use moqdns_stats::Table;
-use moqdns_workload::scenarios::MeshScenario;
+use moqdns_bench::worlds::RelayWorld;
+use moqdns_netsim::NodeFault;
+use moqdns_workload::scenarios::RelayTreeSpec;
 use std::time::Duration;
 
 fn main() {
     let opts = BenchOpts::from_args();
     report::heading("E11 / §3+§5.3 — multi-region hash-shard relay mesh");
     let spec = if opts.smoke {
-        MeshScenario::mesh().smoke()
+        RelayTreeSpec::mesh().smoke()
     } else {
-        MeshScenario::mesh()
+        RelayTreeSpec::mesh()
     };
     let mut gate = InvariantGate::new("mesh", &opts);
 
     // ---- Build + joining-fetch stampede ------------------------------
     // Every stub subscribes to every track with a joining fetch at t=0:
     // stubs × tracks concurrent fetches slam into cold caches.
-    let mut w = MeshWorld::build(&spec, 81);
-    let fetched: u64 = w
-        .stubs
-        .iter()
-        .map(|&s| w.sim.node_ref::<TreeStub>(s).fetched)
-        .sum();
+    let mut w = RelayWorld::build(&spec, 81, 0);
     gate.check_eq(
         "stampede_fetches_answered",
-        spec.stub_count() as u64 * spec.tracks as u64,
-        fetched,
+        spec.subscription_count(),
+        w.fetched_total(),
     );
-    for (i, &e) in w.edges.clone().iter().enumerate() {
-        let s = w.sim.node_ref::<RelayNode>(e).stats();
+    for (i, &e) in w.edges().iter().enumerate() {
         gate.check_eq(
             &format!("edge{i}_upstream_fetches"),
-            spec.edge_fetch_bound(),
-            s.upstream_fetches,
+            spec.edge_fetches(i),
+            w.relay(e).stats().upstream_fetches,
         );
     }
     let tiers = w.tier_stats();
     let (core_tier, edge_tier) = (&tiers[0], &tiers[1]);
     gate.check_eq(
         "core_tier_upstream_fetches",
-        spec.core_tier_fetch_bound(),
+        spec.tracks as u64,
         core_tier.totals.upstream_fetches,
     );
     gate.check_eq(
@@ -84,14 +78,14 @@ fn main() {
         "stampede_core_upstream_fetches",
         core_tier.totals.upstream_fetches,
     );
-    gate.metric("stampede_naive_edge_fetches", spec.naive_edge_fetches());
+    gate.metric("stampede_naive_edge_fetches", spec.subscription_count());
     println!(
         "Stampede: {} joining fetches entered the edge tier; coalescing opened \
          only {} edge-upstream fetches and {} origin fetches (naive: {}).\n",
         edge_tier.totals.fetch_cache_misses,
         edge_tier.totals.upstream_fetches,
         core_tier.totals.upstream_fetches,
-        spec.naive_edge_fetches()
+        spec.subscription_count()
     );
 
     // ---- Measured update rounds: one copy per link under sharding ----
@@ -100,7 +94,7 @@ fn main() {
     for round in 0..spec.updates_per_track {
         w.update_round(10 + (round as u8) * 16);
     }
-    w.sim.run_until(w.sim.now() + Duration::from_secs(5));
+    w.sim.run_for(Duration::from_secs(5));
     gate.check_eq(
         "complete_delivery",
         spec.expected_deliveries(),
@@ -108,7 +102,7 @@ fn main() {
     );
     // Origin egress: each update leaves the origin once, toward the home
     // core of its track's shard — per core, its shard's share exactly.
-    for (c, &core) in w.cores.clone().iter().enumerate() {
+    for (c, &core) in w.cores().iter().enumerate() {
         let got = w.sim.stats().between(w.auth, core).delivered;
         gate.check_eq(
             &format!("origin_to_core{c}_one_copy"),
@@ -118,20 +112,23 @@ fn main() {
     }
     // Edge ingress: each update enters each edge exactly once, over the
     // single core→edge link its shard selects.
-    for (i, &e) in w.edges.clone().iter().enumerate() {
+    for (i, &e) in w.edges().iter().enumerate() {
+        let into_edge = w
+            .cores()
+            .iter()
+            .map(|&c| w.sim.stats().between(c, e).delivered)
+            .sum();
         gate.check_eq(
             &format!("into_edge{i}_one_copy"),
             spec.total_updates(),
-            w.delivered_into_edge(e),
+            into_edge,
         );
     }
-    for (c, &core) in w.cores.clone().iter().enumerate() {
+    for (c, &core) in w.cores().iter().enumerate() {
         gate.check_eq(
             &format!("core{c}_upstream_subs"),
             w.shard_size(c) as u64,
-            w.sim
-                .node_ref::<RelayNode>(core)
-                .upstream_subscription_count() as u64,
+            w.relay(core).upstream_subscription_count() as u64,
         );
     }
     gate.metric("update_deliveries", w.delivered_updates() - baseline);
@@ -145,20 +142,16 @@ fn main() {
         "Drill: killing core{victim} (shard of {victim_shard} tracks), then reviving it"
     ));
     let before_kill = w.delivered_updates();
-    w.kill_core(victim);
-    w.sim.run_until(w.sim.now() + Duration::from_secs(5));
-    let reroutes: u64 = w
-        .edges
-        .iter()
-        .map(|&e| w.sim.node_ref::<RelayNode>(e).stats().reroutes)
-        .sum();
+    w.fault(w.cores()[victim], NodeFault::Crash);
+    w.sim.run_for(Duration::from_secs(5));
+    let reroutes = w.relay_sum(w.edges(), |r| r.stats().reroutes);
     gate.check_eq(
         "kill_reroutes",
-        w.edges.len() as u64 * victim_shard,
+        w.edges().len() as u64 * victim_shard,
         reroutes,
     );
     w.update_round(200);
-    w.sim.run_until(w.sim.now() + Duration::from_secs(5));
+    w.sim.run_for(Duration::from_secs(5));
     gate.check_eq(
         "zero_post_kill_loss",
         spec.tracks as u64 * spec.stub_count() as u64,
@@ -168,34 +161,28 @@ fn main() {
     // Revive: edge recovery probes re-attach and every edge rebalances
     // the victim's shard back onto it.
     let before_revive = w.delivered_updates();
-    w.revive_core(victim);
-    w.sim.run_until(w.sim.now() + Duration::from_secs(20));
-    let rebalances: u64 = w
-        .edges
-        .iter()
-        .map(|&e| w.sim.node_ref::<RelayNode>(e).stats().rebalances)
-        .sum();
+    w.fault(w.cores()[victim], NodeFault::Restart);
+    w.sim.run_for(Duration::from_secs(20));
+    let rebalances = w.relay_sum(w.edges(), |r| r.stats().rebalances);
     gate.check_eq(
         "recovery_rebalances",
-        w.edges.len() as u64 * victim_shard,
+        w.edges().len() as u64 * victim_shard,
         rebalances,
     );
     gate.check_eq(
         "revived_core_reclaimed_shard",
         victim_shard,
-        w.sim
-            .node_ref::<RelayNode>(w.cores[victim])
-            .upstream_subscription_count() as u64,
+        w.relay(w.cores()[victim]).upstream_subscription_count() as u64,
     );
-    for (i, &e) in w.edges.clone().iter().enumerate() {
+    for (i, &e) in w.edges().iter().enumerate() {
         gate.check_eq(
             &format!("edge{i}_upstream_subs_after_recovery"),
             spec.tracks as u64,
-            w.sim.node_ref::<RelayNode>(e).upstream_subscription_count() as u64,
+            w.relay(e).upstream_subscription_count() as u64,
         );
     }
     w.update_round(230);
-    w.sim.run_until(w.sim.now() + Duration::from_secs(5));
+    w.sim.run_for(Duration::from_secs(5));
     gate.check_eq(
         "zero_post_recovery_loss",
         spec.tracks as u64 * spec.stub_count() as u64,
@@ -205,15 +192,16 @@ fn main() {
     gate.metric("drill_rebalances", rebalances);
 
     // ---- Tables -------------------------------------------------------
-    let mut t = Table::new(
+    let tiers = w.tier_stats();
+    let t = report::tier_table(
         format!(
-            "{}: per-tier relay stats ({} cores, {} regions x {} edges, {} stubs)",
+            "{}: per-tier relay stats ({} cores, {} edges, {} stubs)",
             spec.name,
-            spec.cores,
-            spec.regions,
-            spec.edges_per_region,
+            spec.shards(),
+            spec.edge_count(),
             spec.stub_count()
         ),
+        &tiers,
         &[
             "tier",
             "relays",
@@ -228,23 +216,8 @@ fn main() {
             "rebalances",
         ],
     );
-    for tier in w.tier_stats() {
-        t.push(&[
-            tier.tier.clone(),
-            tier.relays.to_string(),
-            tier.totals.downstream_subscribes.to_string(),
-            tier.upstream_subscriptions.to_string(),
-            tier.totals.objects_forwarded.to_string(),
-            tier.totals.fetch_cache_misses.to_string(),
-            tier.totals.fetch_coalesced.to_string(),
-            tier.totals.upstream_fetches.to_string(),
-            tier.totals.fetch_waiters_served.to_string(),
-            tier.totals.reroutes.to_string(),
-            tier.totals.rebalances.to_string(),
-        ]);
-    }
     report::emit(&t, "exp_mesh_tiers");
-    for tier in w.tier_stats() {
+    for tier in &tiers {
         gate.metric(
             &format!("{}_objects_forwarded", tier.tier),
             tier.totals.objects_forwarded,

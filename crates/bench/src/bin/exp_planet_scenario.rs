@@ -3,9 +3,9 @@
 //!
 //! The metro scenario (E13) proved the federation invariants at ~10k
 //! stubs with *flat* demand. This one grows the population another order
-//! of magnitude ([`PlanetScenario`]: 24 cores → 192 edges → 100,032
-//! stubs over 96 tracks) and adds the two workload dimensions a planet
-//! actually has:
+//! of magnitude (the planet preset of [`RelayTreeSpec`]: 24 cores → 192
+//! edges → 100,032 stubs over 96 tracks) and adds the two workload
+//! dimensions a planet actually has:
 //!
 //! * **Zipf popularity** — stub demand concentrates on head-ranked
 //!   tracks (ranks from `workload::toplist`), so tail slices are absent
@@ -28,38 +28,37 @@
 //! `--smoke` for the tiny CI variant and `--check` for the
 //! machine-readable gate (`results/ci_planet.json`).
 //!
-//! [`PlanetScenario`]: moqdns_workload::scenarios::PlanetScenario
+//! [`RelayTreeSpec`]: moqdns_workload::scenarios::RelayTreeSpec
 
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::gate::InvariantGate;
 use moqdns_bench::report;
-use moqdns_bench::worlds::PlanetWorld;
-use moqdns_core::relay_node::RelayNode;
-use moqdns_stats::Table;
-use moqdns_workload::scenarios::PlanetScenario;
+use moqdns_bench::worlds::RelayWorld;
+use moqdns_workload::scenarios::RelayTreeSpec;
 use std::time::{Duration, Instant};
 
 fn main() {
     let opts = BenchOpts::from_args();
     report::heading("E14 / §3+§5.3 — planet-scale federation (Zipf demand, diurnal waves)");
     let spec = if opts.smoke {
-        PlanetScenario::planet().smoke()
+        RelayTreeSpec::planet().smoke()
     } else {
-        PlanetScenario::planet()
+        RelayTreeSpec::planet()
     };
     let mut gate = InvariantGate::new("planet", &opts);
     let wall_start = Instant::now();
 
     // ---- Build + joining-fetch stampede ------------------------------
     let t_build = Instant::now();
-    let mut w = PlanetWorld::build_with_workers(&spec, 92, opts.par);
+    let mut w = RelayWorld::build(&spec, 92, opts.par);
     let build_ms = t_build.elapsed().as_millis();
 
     // Demand maps: which tracks each region wants (Zipf-thinned) and
     // where each track is homed. All invariants derive from these.
     let home: Vec<usize> = (0..spec.tracks).map(|t| w.home_core(t)).collect();
     let demanded = spec.demanded_tracks();
-    let region_tracks: Vec<Vec<bool>> = (0..spec.cores).map(|r| spec.region_tracks(r)).collect();
+    let region_tracks: Vec<Vec<bool>> =
+        (0..spec.regions()).map(|r| spec.region_tracks(r)).collect();
     let origin_fetch_expected = |c: usize| -> u64 {
         (0..spec.tracks)
             .filter(|&t| home[t] == c && demanded[t])
@@ -76,18 +75,19 @@ fn main() {
         spec.subscription_count(),
         w.fetched_total(),
     );
+    let edge_fetch_sum = |w: &RelayWorld| w.relay_sum(w.edges(), |r| r.stats().upstream_fetches);
     gate.check_eq(
         "edge_tier_upstream_fetches",
         spec.edge_fetch_total(),
-        w.edge_fetch_sum(),
+        edge_fetch_sum(&w),
     );
     // Core-tier fetch routing, exact per core but summarized as one
     // mismatch count (24 regions × 2 checks would drown the gate).
     let mut origin_fetch_total = 0;
     let mut peer_fetch_total = 0;
     let mut fetch_mismatches = 0u64;
-    for (c, &core) in w.cores.clone().iter().enumerate() {
-        let s = w.sim.node_ref::<RelayNode>(core).stats();
+    for (c, &core) in w.cores().iter().enumerate() {
+        let s = w.relay(core).stats();
         let origin_fetches = s.upstream_fetches - s.peer_fetches;
         if origin_fetches != origin_fetch_expected(c) || s.peer_fetches != peer_fetch_expected(c) {
             fetch_mismatches += 1;
@@ -98,12 +98,12 @@ fn main() {
     gate.check_eq("per_core_fetch_mismatches", 0, fetch_mismatches);
     gate.check_eq(
         "origin_fetch_total",
-        (0..spec.cores).map(origin_fetch_expected).sum::<u64>(),
+        (0..spec.regions()).map(origin_fetch_expected).sum::<u64>(),
         origin_fetch_total,
     );
     gate.check_eq(
         "peer_fetch_total",
-        (0..spec.cores).map(peer_fetch_expected).sum::<u64>(),
+        (0..spec.regions()).map(peer_fetch_expected).sum::<u64>(),
         peer_fetch_total,
     );
     // The Zipf skew is real: the head slice holds an outsized share of
@@ -115,8 +115,8 @@ fn main() {
         head > 2 * tail,
         format!("head slice {head} stubs vs tail slice {tail}"),
     );
-    gate.metric("stampede_naive_fetches", spec.naive_fetches());
-    gate.metric("stampede_edge_fetches", w.edge_fetch_sum());
+    gate.metric("stampede_naive_fetches", spec.subscription_count());
+    gate.metric("stampede_edge_fetches", edge_fetch_sum(&w));
     gate.metric("stampede_peer_fetches", peer_fetch_total);
     gate.metric("stampede_origin_fetches", origin_fetch_total);
     gate.metric("zipf_head_slice_population", head);
@@ -124,8 +124,8 @@ fn main() {
     println!(
         "Stampede: {} naive joining fetches coalesced to {} edge fetches, \
          {} peer fetches, {} origin fetches ({} stubs; build+stampede {} ms).\n",
-        spec.naive_fetches(),
-        w.edge_fetch_sum(),
+        spec.subscription_count(),
+        edge_fetch_sum(&w),
         peer_fetch_total,
         origin_fetch_total,
         spec.stub_count(),
@@ -137,14 +137,14 @@ fn main() {
     w.sim.stats_mut().reset();
     let baseline = w.delivered_updates();
     let peer_objects_before: Vec<u64> = w
-        .cores
+        .cores()
         .iter()
-        .map(|&c| w.sim.node_ref::<RelayNode>(c).stats().peer_objects)
+        .map(|&c| w.relay(c).stats().peer_objects)
         .collect();
     for round in 0..spec.updates_per_track {
         w.update_round(10 + (round as u8) * 16);
     }
-    w.sim.run_until(w.sim.now() + Duration::from_secs(2));
+    w.sim.run_for(Duration::from_secs(2));
     let rounds_ms = t_rounds.elapsed().as_millis();
     gate.check_eq(
         "complete_delivery",
@@ -155,11 +155,10 @@ fn main() {
     // only the tracks homed there that anyone demands; peer ingress only
     // the tracks the region demands from elsewhere.
     let mut copy_mismatches = 0u64;
-    for (c, &core) in w.cores.clone().iter().enumerate() {
+    for (c, &core) in w.cores().iter().enumerate() {
         let got = w.sim.stats().between(w.auth, core).delivered;
         let want = spec.updates_per_track * origin_fetch_expected(c);
-        let peer_objs =
-            w.sim.node_ref::<RelayNode>(core).stats().peer_objects - peer_objects_before[c];
+        let peer_objs = w.relay(core).stats().peer_objects - peer_objects_before[c];
         let peer_want = spec.updates_per_track * peer_fetch_expected(c);
         if got != want || peer_objs != peer_want {
             copy_mismatches += 1;
@@ -178,20 +177,21 @@ fn main() {
     // ---- Diurnal join/leave waves ------------------------------------
     report::heading("Diurnal waves: transient cohorts join, receive, leave");
     let t_waves = Instant::now();
-    for wave in 0..spec.waves {
+    let edge_session_sum = |w: &RelayWorld| w.relay_sum(w.edges(), |r| r.session_count() as u64);
+    for wave in 0..spec.waves.count {
         // Dawn: the cohort joins every edge and its joining fetches must
         // all be answered (from edge caches/aggregation — only slices no
         // resident covers escalate upstream).
-        let pre_sessions = w.edge_session_sum() as u64;
-        let pre_edge_fetches = w.edge_fetch_sum();
+        let pre_sessions = edge_session_sum(&w);
+        let pre_edge_fetches = edge_fetch_sum(&w);
         let cohort = w.add_wave();
-        w.sim.run_until(w.sim.now() + spec.update_interval * 2);
+        w.sim.run_for(spec.update_interval * 2);
         gate.check_eq(
             &format!("wave{wave}_fetches_answered"),
             spec.wave_subscription_count(),
             w.cohort_fetched(&cohort),
         );
-        let fetch_delta = w.edge_fetch_sum() - pre_edge_fetches;
+        let fetch_delta = edge_fetch_sum(&w) - pre_edge_fetches;
         if wave == 0 {
             // First dawn against the resident-only edge state: the delta
             // is exactly the Zipf-novel slices, computed from the spec.
@@ -212,7 +212,7 @@ fn main() {
         let resident_before = w.delivered_updates();
         let wave_before = w.cohort_updates(&cohort);
         w.update_round(100 + (wave as u8) * 16);
-        w.sim.run_until(w.sim.now() + Duration::from_secs(2));
+        w.sim.run_for(Duration::from_secs(2));
         gate.check_eq(
             &format!("wave{wave}_round_resident_delivery"),
             spec.subscription_count(),
@@ -228,16 +228,16 @@ fn main() {
         // the sessions the wave added, and a further round must deliver
         // to residents only — departed stubs receive nothing.
         w.leave_wave(&cohort);
-        w.sim.run_until(w.sim.now() + spec.update_interval);
+        w.sim.run_for(spec.update_interval);
         gate.check_eq(
             &format!("wave{wave}_sessions_reclaimed"),
             pre_sessions,
-            w.edge_session_sum() as u64,
+            edge_session_sum(&w),
         );
         let frozen = w.cohort_updates(&cohort);
         let resident_before = w.delivered_updates();
         w.update_round(140 + (wave as u8) * 16);
-        w.sim.run_until(w.sim.now() + Duration::from_secs(2));
+        w.sim.run_for(Duration::from_secs(2));
         gate.check_eq(
             &format!("wave{wave}_post_leave_resident_delivery"),
             spec.subscription_count(),
@@ -260,15 +260,17 @@ fn main() {
     println!();
 
     // ---- Tables -------------------------------------------------------
-    let mut t = Table::new(
+    let tiers = w.tier_stats();
+    let t = report::tier_table(
         format!(
             "{}: per-tier relay stats ({} cores x {} edges, {} stubs over {} tracks)",
             spec.name,
-            spec.cores,
-            spec.edges_per_region,
+            spec.regions(),
+            spec.edge_count() / spec.regions(),
             spec.stub_count(),
             spec.tracks,
         ),
+        &tiers,
         &[
             "tier",
             "relays",
@@ -280,20 +282,8 @@ fn main() {
             "peer objects",
         ],
     );
-    for tier in w.tier_stats() {
-        t.push(&[
-            tier.tier.clone(),
-            tier.relays.to_string(),
-            tier.totals.downstream_subscribes.to_string(),
-            tier.upstream_subscriptions.to_string(),
-            tier.totals.objects_forwarded.to_string(),
-            tier.totals.upstream_fetches.to_string(),
-            tier.totals.peer_fetches.to_string(),
-            tier.totals.peer_objects.to_string(),
-        ]);
-    }
     report::emit(&t, "exp_planet_tiers");
-    for tier in w.tier_stats() {
+    for tier in &tiers {
         gate.metric(
             &format!("{}_objects_forwarded", tier.tier),
             tier.totals.objects_forwarded,

@@ -23,10 +23,10 @@
 use moqdns_bench::cli::BenchOpts;
 use moqdns_bench::gate::InvariantGate;
 use moqdns_bench::report;
-use moqdns_bench::worlds::{TreeStub, TreeWorld};
-use moqdns_core::relay_node::RelayNode;
+use moqdns_bench::worlds::RelayWorld;
+use moqdns_netsim::NodeFault;
 use moqdns_stats::Table;
-use moqdns_workload::scenarios::TreeScenario;
+use moqdns_workload::scenarios::RelayTreeSpec;
 use std::time::Duration;
 
 fn main() {
@@ -34,43 +34,29 @@ fn main() {
     report::heading("E10 / §3+§5.3 — simulated relay distribution trees");
     let mut gate = InvariantGate::new("tree", &opts);
 
-    for base in [TreeScenario::ddns_tree(), TreeScenario::cdn_tree()] {
-        let spec = if opts.smoke { base.smoke() } else { base };
-        run_tree(&spec, &mut gate);
+    let shrink = |s: RelayTreeSpec| if opts.smoke { s.smoke() } else { s };
+    for spec in [RelayTreeSpec::ddns_tree(), RelayTreeSpec::cdn_tree()] {
+        run_tree(&shrink(spec), &mut gate);
     }
-    failover_drill(
-        if opts.smoke {
-            TreeScenario::ddns_tree().smoke()
-        } else {
-            TreeScenario::ddns_tree()
-        },
-        &mut gate,
-    );
+    failover_drill(shrink(RelayTreeSpec::ddns_tree()), &mut gate);
     gate.finish();
 }
 
-fn run_tree(spec: &TreeScenario, gate: &mut InvariantGate) {
-    let mut w = TreeWorld::build(spec, 71);
+fn run_tree(spec: &RelayTreeSpec, gate: &mut InvariantGate) {
+    let mut w = RelayWorld::build(spec, 71, 0);
     let name = spec.name;
 
     // Settled: every stub's joining fetch was answered through the tree,
     // and the stampede coalesced to one upstream fetch per relay per
     // track (instead of one per stub).
-    let fetched: u64 = w
-        .stubs
-        .iter()
-        .map(|&s| w.sim.node_ref::<TreeStub>(s).fetched)
-        .sum();
     gate.check_ge(
         &format!("{name}_joining_fetches_answered"),
         w.stubs.len() as u64,
-        fetched,
+        w.fetched_total(),
     );
-    for (label, ids) in [("tier1", &w.tier1), ("edge", &w.edges)] {
-        let fetches: u64 = ids
-            .iter()
-            .map(|&id| w.sim.node_ref::<RelayNode>(id).stats().upstream_fetches)
-            .sum();
+    for (t, ids) in spec.relays.iter().zip(&w.relays) {
+        let label = &t.name;
+        let fetches = w.relay_sum(ids, |r| r.stats().upstream_fetches);
         gate.check_le(
             &format!("{name}_{label}_stampede_fetch_bound"),
             ids.len() as u64 * spec.tracks as u64,
@@ -84,14 +70,9 @@ fn run_tree(spec: &TreeScenario, gate: &mut InvariantGate) {
     let baseline = w.delivered_updates();
 
     for round in 0..spec.updates_per_track {
-        for track in 0..spec.tracks {
-            w.update_track(track, (round as usize * spec.tracks + track) as u8 + 1);
-        }
-        let deadline = w.sim.now() + spec.update_interval;
-        w.sim.run_until(deadline);
+        w.update_round((round as usize * spec.tracks) as u8 + 1);
     }
-    let deadline = w.sim.now() + Duration::from_secs(5);
-    w.sim.run_until(deadline);
+    w.sim.run_for(Duration::from_secs(5));
 
     // (1) Complete delivery.
     let delivered = w.delivered_updates() - baseline;
@@ -146,8 +127,8 @@ fn run_tree(spec: &TreeScenario, gate: &mut InvariantGate) {
     // The §3 invariant at the object level: relays opened exactly one
     // upstream subscription per track, and forwarded exactly one copy per
     // downstream subscriber.
-    for &id in &w.tier1 {
-        let r = w.sim.node_ref::<RelayNode>(id);
+    for &id in w.cores() {
+        let r = w.relay(id);
         gate.check_eq(
             &format!("{name}_tier1_upstream_subs"),
             spec.tracks as u64,
@@ -155,8 +136,8 @@ fn run_tree(spec: &TreeScenario, gate: &mut InvariantGate) {
         );
     }
     let mut edge_forwarded = 0;
-    for &id in &w.edges {
-        let r = w.sim.node_ref::<RelayNode>(id);
+    for &id in w.edges() {
+        let r = w.relay(id);
         gate.check_eq(
             &format!("{name}_edge_upstream_subs"),
             spec.tracks as u64,
@@ -189,11 +170,8 @@ fn run_tree(spec: &TreeScenario, gate: &mut InvariantGate) {
             "agg factor",
         ],
     );
-    for tier in w.tier_stats() {
-        let policy = match tier.tier.as_str() {
-            "edge" => w.sim.node_ref::<RelayNode>(w.edges[0]).policy_name(),
-            _ => w.sim.node_ref::<RelayNode>(w.tier1[0]).policy_name(),
-        };
+    for (tier, ids) in w.tier_stats().into_iter().zip(&w.relays) {
+        let policy = w.relay(ids[0]).policy_name();
         t_tiers.push(&[
             tier.tier.clone(),
             tier.relays.to_string(),
@@ -220,42 +198,35 @@ fn run_tree(spec: &TreeScenario, gate: &mut InvariantGate) {
     );
 }
 
-fn failover_drill(spec: TreeScenario, gate: &mut InvariantGate) {
+fn failover_drill(spec: RelayTreeSpec, gate: &mut InvariantGate) {
     report::heading("Failover: killing tier1[0] mid-run");
-    let mut w = TreeWorld::build(&spec, 72);
+    let mut w = RelayWorld::build(&spec, 72, 0);
 
     // Phase 1: one update round with both tier-1 relays alive.
     for track in 0..spec.tracks {
         w.update_track(track, 211);
     }
-    let deadline = w.sim.now() + Duration::from_secs(5);
-    w.sim.run_until(deadline);
+    w.sim.run_for(Duration::from_secs(5));
     let after_phase1 = w.delivered_updates();
 
     // Kill the first tier-1 relay; its edge children must fail over.
-    w.kill_tier1(0);
-    let deadline = w.sim.now() + Duration::from_secs(5);
-    w.sim.run_until(deadline);
+    w.fault(w.cores()[0], NodeFault::Crash);
+    w.sim.run_for(Duration::from_secs(5));
 
     // Phase 2: another round, now on the degraded tree.
     for track in 0..spec.tracks {
         w.update_track(track, 212);
     }
-    let deadline = w.sim.now() + Duration::from_secs(10);
-    w.sim.run_until(deadline);
+    w.sim.run_for(Duration::from_secs(10));
 
     let phase2 = w.delivered_updates() - after_phase1;
     let expected = spec.tracks as u64 * w.stubs.len() as u64;
     gate.check_eq("failover_zero_post_kill_loss", expected, phase2);
 
-    let reroutes: u64 = w
-        .edges
-        .iter()
-        .map(|&e| w.sim.node_ref::<RelayNode>(e).stats().reroutes)
-        .sum();
+    let reroutes = w.relay_sum(w.edges(), |r| r.stats().reroutes);
     // Half the edge relays had tier1[0] as primary; each re-routed every
     // track.
-    let expected_reroutes = (w.edges.len() as u64 / 2) * spec.tracks as u64;
+    let expected_reroutes = (w.edges().len() as u64 / 2) * spec.tracks as u64;
     gate.check_eq("failover_edge_reroutes", expected_reroutes, reroutes);
     gate.metric("failover_post_kill_deliveries", phase2);
     gate.metric("failover_reroutes", reroutes);
@@ -271,8 +242,7 @@ fn failover_drill(spec: TreeScenario, gate: &mut InvariantGate) {
     t.push(&["edge reroutes".to_string(), reroutes.to_string()]);
     t.push(&[
         "surviving tier1 upstream subs".to_string(),
-        w.sim
-            .node_ref::<RelayNode>(w.tier1[1])
+        w.relay(w.cores()[1])
             .upstream_subscription_count()
             .to_string(),
     ]);

@@ -1,4 +1,11 @@
 //! Reusable simulated worlds for the experiments.
+//!
+//! * [`World`] — the E1–E9 resolution hierarchy (root → TLD → auth,
+//!   recursive, stubs) built from a [`WorldSpec`];
+//! * [`RelayWorld`] — the one relay-tree world every gated tree-family
+//!   scenario runs, built from a [`RelayTreeSpec`] preset on a
+//!   [`SimHandle`] (single-threaded or region-sharded);
+//! * [`TreeStub`] — the counting MoQT subscriber leaf of those trees.
 
 use moqdns_core::adversary::{ByzantineNode, FetchBombNode, SlowLorisNode};
 use moqdns_core::auth::AuthServer;
@@ -18,18 +25,18 @@ use moqdns_dns::resolver::RootHint;
 use moqdns_dns::rr::{Record, RecordType};
 use moqdns_dns::server::Authority;
 use moqdns_dns::zone::Zone;
-use moqdns_moqt::relay::{track_hash, Failover, HashShard, RelayLimits};
+use moqdns_moqt::relay::{track_hash, Failover, HashShard, RelayLimits, RoutePolicy, StaticParent};
 use moqdns_moqt::session::SessionEvent;
-use moqdns_netsim::topo::{TopoBuilder, TopoHost};
+use moqdns_netsim::topo::{ParentMode, TopoBuilder, TopoHost};
 use moqdns_netsim::{
-    Addr, Ctx, LinkConfig, Node, NodeId, ParSim, Payload, SimTime, Simulator, Topology,
+    run_plan, Addr, Ctx, FaultPlan, FaultPlanBuilder, LinkConfig, Node, NodeFault, NodeId, ParSim,
+    Payload, SimTime, Simulator, Topology,
 };
 use moqdns_quic::{ConnHandle, TransportConfig};
 use moqdns_workload::scenarios::{
-    AdversarialScenario, ChaosScenario, FederationScenario, MeshScenario, MetroScenario,
-    PlanetScenario, TreeScenario,
+    ChaosDrill, RelayPolicy, RelayTreeSpec, Slicing, ATTACKER_SEED, CHAOS_EDGE_SEED,
+    CHAOS_STUB_SEED, WAVE_SEED, WAVE_SEED_STRIDE,
 };
-use moqdns_workload::toplist::Toplist;
 use std::any::Any;
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr};
@@ -270,8 +277,6 @@ pub struct TreeStub {
     questions: Vec<Question>,
     /// Pushed updates received, total.
     pub updates: u64,
-    /// Pushed updates received, per question index.
-    pub updates_by_track: Vec<u64>,
     /// Joining fetches answered with at least one object.
     pub fetched: u64,
     /// Pushed updates whose group id did not advance past the highest
@@ -335,7 +340,6 @@ impl TreeStub {
             server: Some(server),
             questions,
             updates: 0,
-            updates_by_track: vec![0; n],
             fetched: 0,
             regressions: 0,
             redials: 0,
@@ -352,11 +356,6 @@ impl TreeStub {
     pub fn redial_after(mut self, delay: Duration) -> TreeStub {
         self.redial_delay = Some(delay);
         self
-    }
-
-    /// Updates received for question `i`.
-    pub fn updates_for(&self, i: usize) -> u64 {
-        self.updates_by_track.get(i).copied().unwrap_or(0)
     }
 
     /// The stub goes offline: every connection closes (the
@@ -399,7 +398,6 @@ impl TreeStub {
                     self.updates += 1;
                     self.last_update_at = Some(now);
                     if let Some(&i) = self.sub_to_track.get(&request_id) {
-                        self.updates_by_track[i] += 1;
                         let g = object.group_id;
                         match self.last_group[i] {
                             Some(prev) if g <= prev => self.regressions += 1,
@@ -457,465 +455,9 @@ impl Node for TreeStub {
     }
 }
 
-/// A §5.3 world on a real 3-tier relay tree:
-///
-/// ```text
-///                    auth
-///                  /      \
-///             tier1[0]  tier1[1]        (StaticParent -> auth)
-///              /    \    /    \
-///          edge[0] edge[2] ...          (Failover: primary tier1,
-///             |       |                  secondary the other tier1)
-///          stubs   stubs   ...          (TreeStub leaves)
-/// ```
-///
-/// Built declaratively from a [`TreeScenario`] via `netsim::topo`; every
-/// tree link's traffic is observable through `sim.stats()`, which is how
-/// the §3 one-copy-per-link aggregation invariant gets asserted.
-pub struct TreeWorld {
-    /// The simulator.
-    pub sim: Simulator,
-    /// Tier/parent bookkeeping from the builder.
-    pub topo: Topology,
-    /// Authoritative server node.
-    pub auth: NodeId,
-    /// Tier-1 relay nodes.
-    pub tier1: Vec<NodeId>,
-    /// Edge relay nodes.
-    pub edges: Vec<NodeId>,
-    /// Stub subscriber nodes.
-    pub stubs: Vec<NodeId>,
-    /// The questions (one per track) every stub subscribes to.
-    pub questions: Vec<Question>,
-    zone_apex: Name,
-}
-
-impl TreeWorld {
-    /// Record name for track `i`.
-    pub fn record_name(i: usize) -> Name {
-        format!("r{i}.tree.example").parse().unwrap()
-    }
-
-    /// Builds the tree world from `spec`, runs it until subscriptions are
-    /// settled (stubs fetched + subscribed through both relay tiers).
-    pub fn build(spec: &TreeScenario, seed: u64) -> TreeWorld {
-        let mut sim = Simulator::new(seed);
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
-
-        let zone_apex: Name = "tree.example".parse().unwrap();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for i in 0..spec.tracks {
-            zone.add_record(Record::new(
-                Self::record_name(i),
-                60,
-                RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-            ));
-        }
-        let questions: Vec<Question> = (0..spec.tracks)
-            .map(|i| Question::new(Self::record_name(i), RecordType::A))
-            .collect();
-
-        let tier1_parents = if spec.tier1_relays > 1 { 2 } else { 1 };
-        let qs = questions.clone();
-        let topo = TopoBuilder::new()
-            .tier("auth", 1, 0, LinkConfig::with_delay(spec.link_delay))
-            .tier(
-                "tier1",
-                spec.tier1_relays,
-                1,
-                LinkConfig::with_delay(spec.link_delay),
-            )
-            .tier(
-                "edge",
-                spec.edge_relays(),
-                tier1_parents,
-                LinkConfig::with_delay(spec.link_delay),
-            )
-            .tier(
-                "stub",
-                spec.stub_count(),
-                1,
-                LinkConfig::with_delay(spec.link_delay),
-            )
-            .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-                "auth" => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(AuthServer::new(
-                        Authority::single(zone.clone()),
-                        TransportConfig::default()
-                            .idle_timeout(Duration::from_secs(3600))
-                            .keep_alive(Duration::from_secs(25)),
-                        11,
-                    )),
-                ),
-                "tier1" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    sim.add_node(
-                        ctx.name.clone(),
-                        Box::new(RelayNode::new(parent, 0, 40 + ctx.index as u64).tier("tier1")),
-                    )
-                }
-                "edge" => {
-                    let parents: Vec<Addr> = ctx
-                        .parents
-                        .iter()
-                        .map(|&p| Addr::new(p, MOQT_PORT))
-                        .collect();
-                    sim.add_node(
-                        ctx.name.clone(),
-                        Box::new(
-                            RelayNode::with_policy(
-                                parents,
-                                Box::new(Failover),
-                                0,
-                                60 + ctx.index as u64,
-                            )
-                            .tier("edge"),
-                        ),
-                    )
-                }
-                _ => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(TreeStub::new(
-                        Addr::new(ctx.parents[0], MOQT_PORT),
-                        qs.clone(),
-                        100 + ctx.index as u64,
-                    )),
-                ),
-            });
-
-        let auth = topo.tier_named("auth")[0];
-        let tier1 = topo.tier_named("tier1").to_vec();
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-        let mut world = TreeWorld {
-            sim,
-            topo,
-            auth,
-            tier1,
-            edges,
-            stubs,
-            questions,
-            zone_apex,
-        };
-        // Let connections, joining fetches, and the two relay tiers'
-        // upstream subscriptions settle before anyone measures.
-        world
-            .sim
-            .run_until(world.sim.now() + Duration::from_secs(5));
-        world
-    }
-
-    /// Replaces track `i`'s A record, triggering a push through the tree.
-    pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = Self::record_name(i);
-        let apex = self.zone_apex.clone();
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
-                }
-            });
-        });
-    }
-
-    /// Takes tier-1 relay `i` out of service mid-run (failover drill).
-    pub fn kill_tier1(&mut self, i: usize) {
-        let id = self.tier1[i];
-        self.sim.with_node::<RelayNode, _>(id, |r, ctx| {
-            r.shutdown(ctx);
-        });
-    }
-
-    /// Total pushed updates received across all stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Per-tier relay stats (tier1 first, then edge).
-    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        for (label, ids) in [("tier1", &self.tier1), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
-            }
-            out.push(tier);
-        }
-        out
-    }
-
-    /// The tree's relay-to-relay links: (auth→tier1) and (tier1→edge)
-    /// primary attachments — the links the §3 one-copy invariant
-    /// constrains. Stub attachments are excluded (those carry the
-    /// fan-out, which legitimately scales with subscriber count).
-    pub fn upstream_links(&self) -> Vec<(NodeId, NodeId)> {
-        self.topo
-            .primary_edges()
-            .filter(|(_, child)| self.tier1.contains(child) || self.edges.contains(child))
-            .collect()
-    }
-}
-
-/// A multi-region hash-shard mesh world (built from a [`MeshScenario`]):
-///
-/// ```text
-///                       auth (origin)
-///                   /        |        \
-///              core0       core1      core2     (StaticParent -> auth;
-///                 \\\       |||       ///        one hash shard each)
-///                  region0..regionR edges        (HashShard across ALL
-///                 edge0 edge1 ... edgeE           cores, aligned order)
-///                   |     |         |
-///                 stubs stubs     stubs          (TreeStub leaves)
-/// ```
-///
-/// Every edge attaches to every core in *aligned* order (uplink `i` is
-/// `core_i` at each edge), so a track's hash shard names the same core
-/// mesh-wide: core `i` aggregates exactly shard `i` no matter which
-/// region the demand comes from. Built via [`TopoBuilder::mesh`].
-pub struct MeshWorld {
-    /// The simulator.
-    pub sim: Simulator,
-    /// Tier/parent bookkeeping from the builder.
-    pub topo: Topology,
-    /// The scenario this world was built from.
-    pub spec: MeshScenario,
-    /// Origin (authoritative) server node.
-    pub auth: NodeId,
-    /// Core relay nodes (shard `i` lives on `cores[i]`).
-    pub cores: Vec<NodeId>,
-    /// Edge relay nodes (region `r` owns
-    /// `edges[r * spec.edges_per_region ..][..spec.edges_per_region]`).
-    pub edges: Vec<NodeId>,
-    /// Stub subscriber nodes.
-    pub stubs: Vec<NodeId>,
-    /// The questions (one per track) every stub subscribes to.
-    pub questions: Vec<Question>,
-    zone_apex: Name,
-}
-
-impl MeshWorld {
-    /// Record name for track `i`.
-    pub fn record_name(i: usize) -> Name {
-        format!("r{i}.mesh.example").parse().unwrap()
-    }
-
-    /// Builds the mesh world from `spec` and settles it (stubs connected,
-    /// joining fetches answered, shard subscriptions in place).
-    pub fn build(spec: &MeshScenario, seed: u64) -> MeshWorld {
-        let mut sim = Simulator::new(seed);
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
-
-        let zone_apex: Name = "mesh.example".parse().unwrap();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for i in 0..spec.tracks {
-            zone.add_record(Record::new(
-                Self::record_name(i),
-                60,
-                RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-            ));
-        }
-        let questions: Vec<Question> = (0..spec.tracks)
-            .map(|i| Question::new(Self::record_name(i), RecordType::A))
-            .collect();
-
-        let qs = questions.clone();
-        let link = LinkConfig::with_delay(spec.link_delay);
-        let topo = TopoBuilder::mesh(
-            "auth",
-            spec.cores,
-            spec.regions,
-            spec.edges_per_region,
-            link,
-        )
-        .tier("stub", spec.stub_count(), 1, link)
-        .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-            "auth" => sim.add_node(
-                ctx.name.clone(),
-                Box::new(AuthServer::new(
-                    Authority::single(zone.clone()),
-                    TransportConfig::default()
-                        .idle_timeout(Duration::from_secs(3600))
-                        .keep_alive(Duration::from_secs(25)),
-                    11,
-                )),
-            ),
-            "core" => {
-                let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(RelayNode::new(parent, 0, 40 + ctx.index as u64).tier("core")),
-                )
-            }
-            "edge" => {
-                let parents: Vec<Addr> = ctx
-                    .parents
-                    .iter()
-                    .map(|&p| Addr::new(p, MOQT_PORT))
-                    .collect();
-                sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(
-                        RelayNode::with_policy(
-                            parents,
-                            Box::new(HashShard),
-                            0,
-                            60 + ctx.index as u64,
-                        )
-                        .tier("edge"),
-                    ),
-                )
-            }
-            _ => sim.add_node(
-                ctx.name.clone(),
-                Box::new(TreeStub::new(
-                    Addr::new(ctx.parents[0], MOQT_PORT),
-                    qs.clone(),
-                    100 + ctx.index as u64,
-                )),
-            ),
-        });
-
-        let auth = topo.tier_named("auth")[0];
-        let cores = topo.tier_named("core").to_vec();
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-        let mut world = MeshWorld {
-            sim,
-            topo,
-            spec: *spec,
-            auth,
-            cores,
-            edges,
-            stubs,
-            questions,
-            zone_apex,
-        };
-        world
-            .sim
-            .run_until(world.sim.now() + Duration::from_secs(5));
-        world
-    }
-
-    /// The home core (hash shard) of track `i` — identical at every edge
-    /// because the mesh wires uplinks in aligned order.
-    pub fn home_core(&self, i: usize) -> usize {
-        let track = track_from_question(&self.questions[i], RequestFlags::iterative()).unwrap();
-        (track_hash(&track) % self.spec.cores as u64) as usize
-    }
-
-    /// Tracks homed on core `c`.
-    pub fn shard_size(&self, c: usize) -> usize {
-        (0..self.spec.tracks)
-            .filter(|&i| self.home_core(i) == c)
-            .count()
-    }
-
-    /// Replaces track `i`'s A record, triggering a push through the mesh.
-    pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = Self::record_name(i);
-        let apex = self.zone_apex.clone();
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
-                }
-            });
-        });
-    }
-
-    /// Pushes one round of updates (every track once) and settles.
-    pub fn update_round(&mut self, octet_base: u8) {
-        for i in 0..self.spec.tracks {
-            self.update_track(i, octet_base.wrapping_add(i as u8));
-        }
-        let deadline = self.sim.now() + self.spec.update_interval;
-        self.sim.run_until(deadline);
-    }
-
-    /// Takes core relay `i` out of service mid-run.
-    pub fn kill_core(&mut self, i: usize) {
-        let id = self.cores[i];
-        self.sim.with_node::<RelayNode, _>(id, |r, ctx| {
-            r.shutdown(ctx);
-        });
-    }
-
-    /// Brings a killed core relay back; edge recovery probes re-attach to
-    /// it and rebalance its shard home.
-    pub fn revive_core(&mut self, i: usize) {
-        let id = self.cores[i];
-        self.sim.with_node::<RelayNode, _>(id, |r, _ctx| {
-            r.revive();
-        });
-    }
-
-    /// Total pushed updates received across all stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Update datagrams delivered into edge `e` summed over all its core
-    /// uplinks — the per-child form of the one-copy invariant under
-    /// sharding (each update arrives over exactly one core→edge link).
-    pub fn delivered_into_edge(&self, e: NodeId) -> u64 {
-        self.cores
-            .iter()
-            .map(|&c| self.sim.stats().between(c, e).delivered)
-            .sum()
-    }
-
-    /// Update datagrams delivered from the origin into all cores.
-    pub fn delivered_into_cores(&self) -> u64 {
-        self.cores
-            .iter()
-            .map(|&c| self.sim.stats().between(self.auth, c).delivered)
-            .sum()
-    }
-
-    /// Per-tier relay stats (core first, then edge).
-    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        for (label, ids) in [("core", &self.cores), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
-            }
-            out.push(tier);
-        }
-        out
-    }
-}
-
 /// Either a single-threaded [`Simulator`] or a sharded [`ParSim`].
 ///
-/// The multi-region worlds ([`FederationWorld`], [`MetroWorld`],
-/// [`PlanetWorld`]) build against this handle so one construction path
+/// [`RelayWorld`] builds against this handle so one construction path
 /// drives both the CI-baseline run (single-threaded, bit-exact against
 /// committed results) and the parallel run (one worker per region group,
 /// conservative-lookahead barriers — see `moqdns_netsim::par`). Node
@@ -923,7 +465,8 @@ impl MeshWorld {
 /// it. Because every link in these worlds is lossless (the simulator's
 /// RNG is never consulted on a lossless transmit) and every node carries
 /// its own seeded RNG, the two variants produce identical delivery
-/// traces — pinned by the parity tests below for 1, 2, and N workers.
+/// traces — pinned by the `parallel_parity` tests for 1, 2, and N
+/// workers.
 pub enum SimHandle {
     /// One global event loop — the exact CI-baseline event stream.
     /// (Boxed: the simulator is hundreds of bytes of inline state and
@@ -963,6 +506,14 @@ impl SimHandle {
         match self {
             SimHandle::Single(s) => s.add_node(name, node),
             SimHandle::Par(p) => p.add_node(shard, name, node),
+        }
+    }
+
+    /// The shard owning `id` (0 single-threaded).
+    pub fn shard_of(&self, id: NodeId) -> usize {
+        match self {
+            SimHandle::Single(_) => 0,
+            SimHandle::Par(p) => p.owner_of(id),
         }
     }
 
@@ -1013,14 +564,6 @@ impl SimHandle {
         match self {
             SimHandle::Single(s) => s.run_for(d),
             SimHandle::Par(p) => p.run_for(d),
-        }
-    }
-
-    /// Number of events currently scheduled.
-    pub fn pending_events(&self) -> usize {
-        match self {
-            SimHandle::Single(s) => s.pending_events(),
-            SimHandle::Par(p) => p.pending_events(),
         }
     }
 
@@ -1113,1204 +656,20 @@ impl moqdns_netsim::FaultHost for SimHandle {
 /// and goes dark ([`RelayNode::shutdown`]); restart re-initializes the
 /// relay in place ([`RelayNode::revive`]) with its cumulative stats
 /// intact.
-pub fn apply_relay_fault(sim: &mut SimHandle, node: NodeId, fault: moqdns_netsim::NodeFault) {
+pub fn apply_relay_fault(sim: &mut SimHandle, node: NodeId, fault: NodeFault) {
     sim.with_node::<RelayNode, _>(node, |relay, ctx| match fault {
         // Guarded so replaying an already-applied plan prefix (the
         // drills drive one plan in segments, pausing mid-window to push
         // an update round) is a no-op rather than a second shutdown or a
         // state-wiping double revive.
-        moqdns_netsim::NodeFault::Crash if !relay.is_dead() => relay.shutdown(ctx),
-        moqdns_netsim::NodeFault::Restart if relay.is_dead() => relay.revive(),
+        NodeFault::Crash if !relay.is_dead() => relay.shutdown(ctx),
+        NodeFault::Restart if relay.is_dead() => relay.revive(),
         _ => {}
     });
 }
 
-/// A cross-region **core federation** world (built from a
-/// [`FederationScenario`]):
-///
-/// ```text
-///                      auth (origin)
-///                   /       |       \          slow inter-region links
-///              core0 ══════ core1 ══════ core2    (full-mesh peer links;
-///               ║  \          |          /  ║      shard i homes on core i)
-///               ║ [region0] [region1] [region2]
-///             edge0 edge1  edge2 ...          region-local edges
-///               |     |      |                 (StaticParent -> own core)
-///             stubs stubs  stubs              TreeStub leaves
-/// ```
-///
-/// Unlike [`MeshWorld`] — where every edge attaches to every core — the
-/// edges here are **regional**: shard routing happens *between the
-/// cores*, over dedicated peer links. A core subscribes/fetches tracks
-/// homed on a sibling shard from that sibling, so the origin only ever
-/// serves each track once (to its home core), and a dead origin leaves
-/// every already-published track fully servable region-to-region.
-pub struct FederationWorld {
-    /// The simulator (single-threaded or sharded — see [`SimHandle`]).
-    pub sim: SimHandle,
-    /// Tier/parent/peer bookkeeping from the builder.
-    pub topo: Topology,
-    /// The scenario this world was built from.
-    pub spec: FederationScenario,
-    /// Origin (authoritative) server node.
-    pub auth: NodeId,
-    /// Core relay nodes (shard `i` lives on `cores[i]`, serving region `i`).
-    pub cores: Vec<NodeId>,
-    /// Edge relay nodes (edge `j` belongs to region `j % cores`).
-    pub edges: Vec<NodeId>,
-    /// Stub subscriber nodes.
-    pub stubs: Vec<NodeId>,
-    /// The questions (one per track) every stub subscribes to.
-    pub questions: Vec<Question>,
-    zone_apex: Name,
-    /// Counter for naming post-kill late-joiner nodes.
-    late_nodes: usize,
-}
-
-impl FederationWorld {
-    /// Record name for track `i`.
-    pub fn record_name(i: usize) -> Name {
-        format!("r{i}.fed.example").parse().unwrap()
-    }
-
-    /// Builds the federation world from `spec` and settles it (stubs
-    /// connected, joining fetches answered, parent + peer subscriptions
-    /// in place). Single-threaded — the CI-baseline path.
-    pub fn build(spec: &FederationScenario, seed: u64) -> FederationWorld {
-        Self::build_with_workers(spec, seed, 0)
-    }
-
-    /// Builds the same world on `workers` parallel shards (`0` =
-    /// single-threaded). Sharding is by region: the origin lives on
-    /// shard 0, core `s` (and its whole region — edges and stubs) on
-    /// shard `s % workers`, so only the slow inter-region links (origin
-    /// uplinks and the core peer mesh) cross shards and the lookahead
-    /// bound is `spec.peer_delay`. Workers beyond `spec.cores` would
-    /// own nothing, so the count is clamped.
-    pub fn build_with_workers(
-        spec: &FederationScenario,
-        seed: u64,
-        workers: usize,
-    ) -> FederationWorld {
-        let workers = workers.min(spec.cores.max(1));
-        let mut sim = SimHandle::new(seed, workers);
-        let w = sim.workers();
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
-
-        let zone_apex: Name = "fed.example".parse().unwrap();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for i in 0..spec.tracks {
-            zone.add_record(Record::new(
-                Self::record_name(i),
-                60,
-                RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-            ));
-        }
-        let questions: Vec<Question> = (0..spec.tracks)
-            .map(|i| Question::new(Self::record_name(i), RecordType::A))
-            .collect();
-
-        // Node creation is dense and tier-ordered: auth = 0, cores =
-        // 1..=K. A core's peer addresses are therefore known *before*
-        // the sibling nodes exist (asserted below).
-        let k = spec.cores;
-        let ec = spec.edge_count();
-        let core_id = |s: usize| NodeId::from_index(1 + s);
-        let intra = LinkConfig::with_delay(spec.link_delay);
-        let inter = LinkConfig::with_delay(spec.peer_delay);
-        let qs = questions.clone();
-        // Region → shard: core `s` and everything under it on `s % w`.
-        // Edge `j` serves region `j % k`; stub `j` hangs off edge
-        // `j % ec` (the builder's round-robin parent assignment).
-        let topo = TopoBuilder::new()
-            .tier("auth", 1, 0, inter)
-            .tier("core", k, 1, inter)
-            .tier("edge", ec, 1, intra)
-            .tier("stub", spec.stub_count(), 1, intra)
-            .peer_full_mesh("core", inter)
-            .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-                "auth" => sim.add_node(
-                    0,
-                    ctx.name.clone(),
-                    Box::new(AuthServer::new(
-                        Authority::single(zone.clone()),
-                        TransportConfig::default()
-                            .idle_timeout(Duration::from_secs(3600))
-                            .keep_alive(Duration::from_secs(25)),
-                        11,
-                    )),
-                ),
-                "core" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    let peers: Vec<Addr> = (0..k)
-                        .filter(|&s| s != ctx.index)
-                        .map(|s| Addr::new(core_id(s), MOQT_PORT))
-                        .collect();
-                    sim.add_node(
-                        ctx.index % w,
-                        ctx.name.clone(),
-                        Box::new(
-                            RelayNode::new(parent, 0, 40 + ctx.index as u64)
-                                .peers(peers, ctx.index)
-                                .tier("core"),
-                        ),
-                    )
-                }
-                "edge" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    sim.add_node(
-                        (ctx.index % k) % w,
-                        ctx.name.clone(),
-                        Box::new(RelayNode::new(parent, 0, 60 + ctx.index as u64).tier("edge")),
-                    )
-                }
-                _ => sim.add_node(
-                    ((ctx.index % ec) % k) % w,
-                    ctx.name.clone(),
-                    Box::new(TreeStub::new(
-                        Addr::new(ctx.parents[0], MOQT_PORT),
-                        qs.clone(),
-                        100 + ctx.index as u64,
-                    )),
-                ),
-            });
-
-        let auth = topo.tier_named("auth")[0];
-        let cores = topo.tier_named("core").to_vec();
-        for (s, &c) in cores.iter().enumerate() {
-            assert_eq!(c, core_id(s), "dense tier-ordered node ids");
-        }
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-        let mut world = FederationWorld {
-            sim,
-            topo,
-            spec: *spec,
-            auth,
-            cores,
-            edges,
-            stubs,
-            questions,
-            zone_apex,
-            late_nodes: 0,
-        };
-        world
-            .sim
-            .run_until(world.sim.now() + Duration::from_secs(5));
-        world
-    }
-
-    /// The home core (hash shard) of track `i` — the only core that ever
-    /// contacts the origin for it.
-    pub fn home_core(&self, i: usize) -> usize {
-        let track = track_from_question(&self.questions[i], RequestFlags::iterative()).unwrap();
-        (track_hash(&track) % self.spec.cores as u64) as usize
-    }
-
-    /// Tracks homed on core `c`.
-    pub fn shard_size(&self, c: usize) -> usize {
-        (0..self.spec.tracks)
-            .filter(|&i| self.home_core(i) == c)
-            .count()
-    }
-
-    /// The region an edge index belongs to (edge `j` → region `j % cores`,
-    /// the round-robin parent assignment of the builder).
-    pub fn region_of_edge(&self, j: usize) -> usize {
-        j % self.spec.cores
-    }
-
-    /// Stub nodes whose edge lives in `region`.
-    pub fn region_stubs(&self, region: usize) -> Vec<NodeId> {
-        let edge_count = self.edges.len();
-        self.stubs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.region_of_edge(i % edge_count) == region)
-            .map(|(_, &s)| s)
-            .collect()
-    }
-
-    /// Replaces track `i`'s A record at the origin, triggering a push
-    /// through the federation.
-    pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = Self::record_name(i);
-        let apex = self.zone_apex.clone();
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
-                }
-            });
-        });
-    }
-
-    /// Pushes one round of updates (every track once) and settles.
-    pub fn update_round(&mut self, octet_base: u8) {
-        for i in 0..self.spec.tracks {
-            self.update_track(i, octet_base.wrapping_add(i as u8));
-        }
-        let deadline = self.sim.now() + self.spec.update_interval;
-        self.sim.run_until(deadline);
-    }
-
-    /// Kills the origin mid-run (the federation drill: already-published
-    /// tracks must keep flowing region-to-region afterwards).
-    pub fn kill_origin(&mut self) {
-        let auth = self.auth;
-        self.sim.with_node::<AuthServer, _>(auth, |a, ctx| {
-            a.shutdown(ctx);
-        });
-    }
-
-    /// Adds a brand-new edge relay in `region` with `stubs` fresh stub
-    /// subscribers attached — a cold cache joining after (e.g.) the
-    /// origin died. Returns `(edge, stubs)`.
-    pub fn add_late_edge(&mut self, region: usize, stubs: usize) -> (NodeId, Vec<NodeId>) {
-        let core = self.cores[region];
-        let shard = region % self.sim.workers();
-        let intra = LinkConfig::with_delay(self.spec.link_delay);
-        let n = self.late_nodes;
-        self.late_nodes += 1;
-        let edge = self.sim.add_node(
-            shard,
-            format!("late-edge{n}"),
-            Box::new(
-                RelayNode::new(Addr::new(core, MOQT_PORT), 0, 600 + n as u64).tier("late-edge"),
-            ),
-        );
-        self.sim.set_link(edge, core, intra);
-        let mut late_stubs = Vec::with_capacity(stubs);
-        for i in 0..stubs {
-            let s = self.sim.add_node(
-                shard,
-                format!("late-stub{n}-{i}"),
-                Box::new(TreeStub::new(
-                    Addr::new(edge, MOQT_PORT),
-                    self.questions.clone(),
-                    700 + (n * 16 + i) as u64,
-                )),
-            );
-            self.sim.set_link(s, edge, intra);
-            late_stubs.push(s);
-        }
-        (edge, late_stubs)
-    }
-
-    /// Total pushed updates received across the original stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Update datagrams delivered from the origin into all cores.
-    pub fn delivered_into_cores(&self) -> u64 {
-        self.cores
-            .iter()
-            .map(|&c| self.sim.stats().between(self.auth, c).delivered)
-            .sum()
-    }
-
-    /// Per-tier relay stats (core first, then edge).
-    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        for (label, ids) in [("core", &self.cores), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
-            }
-            out.push(tier);
-        }
-        out
-    }
-}
-
-/// The **metro-scale** federation world (built from a [`MetroScenario`]):
-/// the [`FederationWorld`] shape grown to ~10,000 stubs over ~64 tracks,
-/// with each stub subscribing to one track *slice* instead of the whole
-/// set (see [`MetroScenario::slice_of_stub`]).
-///
-/// ```text
-///                      auth (origin)
-///                   /       |       \          slow inter-region links
-///              core0 ══════ core1 ══════ core2   (full-mesh peer links;
-///               ║            |            ║       shard i homes on core i)
-///           [region0]    [region1]    [region2]
-///          edge0..edge3 edge4..edge7 edge8..11   4 region-local edges each
-///            |||...       |||...      |||...
-///          833 stubs    833 stubs   833 stubs    per edge — 9,996 total,
-///                                                 8-track slices each
-/// ```
-///
-/// This world is two orders of magnitude larger than anything else in
-/// the CI matrix; it exists to exercise the simulator's data plane
-/// (scheduler, link tables, zero-copy delivery) as much as the protocol.
-pub struct MetroWorld {
-    /// The simulator (single-threaded or sharded — see [`SimHandle`]).
-    pub sim: SimHandle,
-    /// Tier/parent/peer bookkeeping from the builder.
-    pub topo: Topology,
-    /// The scenario this world was built from.
-    pub spec: MetroScenario,
-    /// Origin (authoritative) server node.
-    pub auth: NodeId,
-    /// Core relay nodes (shard `i` lives on `cores[i]`, serving region `i`).
-    pub cores: Vec<NodeId>,
-    /// Edge relay nodes (edge `j` belongs to region `j % cores`... wired
-    /// round-robin by the builder).
-    pub edges: Vec<NodeId>,
-    /// Stub subscriber nodes (stub `j` hangs off edge `j % edge_count`
-    /// and subscribes to slice `spec.slice_of_stub(j)`).
-    pub stubs: Vec<NodeId>,
-    /// The questions, one per track.
-    pub questions: Vec<Question>,
-    zone_apex: Name,
-    /// Counter for naming post-kill late-joiner nodes.
-    late_nodes: usize,
-}
-
-impl MetroWorld {
-    /// Record name for track `i`.
-    pub fn record_name(i: usize) -> Name {
-        format!("r{i}.metro.example").parse().unwrap()
-    }
-
-    /// Builds the metro world from `spec` and settles it (every stub
-    /// connected, joining fetches answered, parent + peer subscriptions
-    /// in place). Single-threaded — the CI-baseline path.
-    pub fn build(spec: &MetroScenario, seed: u64) -> MetroWorld {
-        Self::build_with_workers(spec, seed, 0)
-    }
-
-    /// Builds the same world on `workers` parallel shards (`0` =
-    /// single-threaded). Sharding is by region, exactly as in
-    /// [`FederationWorld::build_with_workers`]: only the inter-region
-    /// links cross shards and the lookahead bound is `spec.peer_delay`.
-    pub fn build_with_workers(spec: &MetroScenario, seed: u64, workers: usize) -> MetroWorld {
-        assert!(
-            spec.stubs_per_edge >= spec.slices(),
-            "every edge must see every slice for the fetch invariants"
-        );
-        let workers = workers.min(spec.cores.max(1));
-        let mut sim = SimHandle::new(seed, workers);
-        let w = sim.workers();
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
-
-        let zone_apex: Name = "metro.example".parse().unwrap();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for i in 0..spec.tracks {
-            zone.add_record(Record::new(
-                Self::record_name(i),
-                60,
-                RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-            ));
-        }
-        let questions: Vec<Question> = (0..spec.tracks)
-            .map(|i| Question::new(Self::record_name(i), RecordType::A))
-            .collect();
-
-        // Node creation is dense and tier-ordered: auth = 0, cores =
-        // 1..=K (asserted below), so peer addresses are known up front.
-        let k = spec.cores;
-        let core_id = |s: usize| NodeId::from_index(1 + s);
-        let intra = LinkConfig::with_delay(spec.link_delay);
-        let inter = LinkConfig::with_delay(spec.peer_delay);
-        let ec = spec.edge_count();
-        let qs = questions.clone();
-        let sp = *spec;
-        // Region → shard: core `s` and everything under it on `s % w`
-        // (edge `j` serves region `j % k`; stub `j` hangs off edge
-        // `j % ec` — the builder's round-robin parent assignment).
-        let topo = TopoBuilder::new()
-            .tier("auth", 1, 0, inter)
-            .tier("core", k, 1, inter)
-            .tier("edge", ec, 1, intra)
-            .tier("stub", spec.stub_count(), 1, intra)
-            .peer_full_mesh("core", inter)
-            .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-                "auth" => sim.add_node(
-                    0,
-                    ctx.name.clone(),
-                    Box::new(AuthServer::new(
-                        Authority::single(zone.clone()),
-                        TransportConfig::default()
-                            .idle_timeout(Duration::from_secs(3600))
-                            .keep_alive(Duration::from_secs(60)),
-                        11,
-                    )),
-                ),
-                "core" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    let peers: Vec<Addr> = (0..k)
-                        .filter(|&s| s != ctx.index)
-                        .map(|s| Addr::new(core_id(s), MOQT_PORT))
-                        .collect();
-                    sim.add_node(
-                        ctx.index % w,
-                        ctx.name.clone(),
-                        Box::new(
-                            RelayNode::new(parent, 0, 40 + ctx.index as u64)
-                                .peers(peers, ctx.index)
-                                .tier("core"),
-                        ),
-                    )
-                }
-                "edge" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    sim.add_node(
-                        (ctx.index % k) % w,
-                        ctx.name.clone(),
-                        Box::new(RelayNode::new(parent, 0, 60 + ctx.index as u64).tier("edge")),
-                    )
-                }
-                _ => {
-                    let slice = sp.slice_of_stub(ctx.index);
-                    let slice_qs: Vec<Question> =
-                        sp.slice_tracks(slice).map(|t| qs[t].clone()).collect();
-                    sim.add_node(
-                        ((ctx.index % ec) % k) % w,
-                        ctx.name.clone(),
-                        Box::new(TreeStub::new(
-                            Addr::new(ctx.parents[0], MOQT_PORT),
-                            slice_qs,
-                            100 + ctx.index as u64,
-                        )),
-                    )
-                }
-            });
-
-        let auth = topo.tier_named("auth")[0];
-        let cores = topo.tier_named("core").to_vec();
-        for (s, &c) in cores.iter().enumerate() {
-            assert_eq!(c, core_id(s), "dense tier-ordered node ids");
-        }
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-        let mut world = MetroWorld {
-            sim,
-            topo,
-            spec: *spec,
-            auth,
-            cores,
-            edges,
-            stubs,
-            questions,
-            zone_apex,
-            late_nodes: 0,
-        };
-        world
-            .sim
-            .run_until(world.sim.now() + Duration::from_secs(10));
-        world
-    }
-
-    /// The home core (hash shard) of track `i`.
-    pub fn home_core(&self, i: usize) -> usize {
-        let track = track_from_question(&self.questions[i], RequestFlags::iterative()).unwrap();
-        (track_hash(&track) % self.spec.cores as u64) as usize
-    }
-
-    /// Tracks homed on core `c`.
-    pub fn shard_size(&self, c: usize) -> usize {
-        (0..self.spec.tracks)
-            .filter(|&i| self.home_core(i) == c)
-            .count()
-    }
-
-    /// Replaces track `i`'s A record at the origin.
-    pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = Self::record_name(i);
-        let apex = self.zone_apex.clone();
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
-                }
-            });
-        });
-    }
-
-    /// Pushes one round of updates (every track once) without advancing
-    /// time — the chaos drills push mid-fault-window and let the fault
-    /// plan drive the clock.
-    pub fn push_round(&mut self, octet_base: u8) {
-        for i in 0..self.spec.tracks {
-            self.update_track(i, octet_base.wrapping_add(i as u8));
-        }
-    }
-
-    /// Pushes one round of updates (every track once) and settles.
-    pub fn update_round(&mut self, octet_base: u8) {
-        self.push_round(octet_base);
-        let deadline = self.sim.now() + self.spec.update_interval;
-        self.sim.run_until(deadline);
-    }
-
-    /// Kills the origin mid-run.
-    pub fn kill_origin(&mut self) {
-        let auth = self.auth;
-        self.sim.with_node::<AuthServer, _>(auth, |a, ctx| {
-            a.shutdown(ctx);
-        });
-    }
-
-    /// Adds a brand-new edge relay in `region` with `stubs` fresh stub
-    /// subscribers (stub `i` takes slice `i % slices`) — a cold cache
-    /// joining after the origin died. Returns `(edge, stubs)`.
-    pub fn add_late_edge(&mut self, region: usize, stubs: usize) -> (NodeId, Vec<NodeId>) {
-        let core = self.cores[region];
-        let shard = region % self.sim.workers();
-        let intra = LinkConfig::with_delay(self.spec.link_delay);
-        let n = self.late_nodes;
-        self.late_nodes += 1;
-        let edge = self.sim.add_node(
-            shard,
-            format!("late-edge{n}"),
-            Box::new(
-                RelayNode::new(Addr::new(core, MOQT_PORT), 0, 6000 + n as u64).tier("late-edge"),
-            ),
-        );
-        self.sim.set_link(edge, core, intra);
-        let mut late_stubs = Vec::with_capacity(stubs);
-        for i in 0..stubs {
-            let slice = i % self.spec.slices();
-            let slice_qs: Vec<Question> = self
-                .spec
-                .slice_tracks(slice)
-                .map(|t| self.questions[t].clone())
-                .collect();
-            let s = self.sim.add_node(
-                shard,
-                format!("late-stub{n}-{i}"),
-                Box::new(TreeStub::new(
-                    Addr::new(edge, MOQT_PORT),
-                    slice_qs,
-                    7000 + (n * 64 + i) as u64,
-                )),
-            );
-            self.sim.set_link(s, edge, intra);
-            late_stubs.push(s);
-        }
-        (edge, late_stubs)
-    }
-
-    /// Total pushed updates received across the original stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Joining fetches answered across the original stubs.
-    pub fn fetched_total(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).fetched)
-            .sum()
-    }
-
-    /// Per-tier relay stats (core first, then edge).
-    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        for (label, ids) in [("core", &self.cores), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
-            }
-            out.push(tier);
-        }
-        out
-    }
-}
-
-/// The **chaos** world (built from a [`ChaosScenario`]): a [`MetroWorld`]
-/// plus one extra *chaos edge* in region 0 carrying a small cohort of
-/// short-idle, auto-redialing [`TreeStub`]s — the crash target. The
-/// drills below compose a seeded [`FaultPlan`](moqdns_netsim::FaultPlan)
-/// per phase and drive it in segments (run into the fault window, push
-/// an update round mid-window, run through heal + settle); every fault
-/// applies at a simulation barrier and all loss draws are per-link
-/// deterministic, so the whole sequence replays bit-identically
-/// single-threaded and sharded (pinned by `parallel_parity`).
-pub struct ChaosWorld {
-    /// The underlying metro world (region-sharded when built with
-    /// workers; the chaos edge and its cohort live on shard 0).
-    pub metro: MetroWorld,
-    /// The scenario this world was built from.
-    pub spec: ChaosScenario,
-    /// The crash-target edge relay (region 0).
-    pub chaos_edge: NodeId,
-    /// The redial cohort hanging off [`ChaosWorld::chaos_edge`].
-    pub chaos_stubs: Vec<NodeId>,
-}
-
-impl ChaosWorld {
-    /// Builds and settles the world single-threaded (the CI-baseline
-    /// path).
-    pub fn build(spec: &ChaosScenario, seed: u64) -> ChaosWorld {
-        Self::build_with_workers(spec, seed, 0)
-    }
-
-    /// Builds the same world on `workers` parallel shards (`0` =
-    /// single-threaded).
-    pub fn build_with_workers(spec: &ChaosScenario, seed: u64, workers: usize) -> ChaosWorld {
-        let mut metro = MetroWorld::build_with_workers(&spec.metro, seed, workers);
-        let core = metro.cores[0];
-        let intra = LinkConfig::with_delay(spec.metro.link_delay);
-        let edge = metro.sim.add_node(
-            0,
-            "chaos-edge",
-            Box::new(RelayNode::new(Addr::new(core, MOQT_PORT), 0, 5000).tier("chaos-edge")),
-        );
-        metro.sim.set_link(edge, core, intra);
-        let transport = TransportConfig::default()
-            .idle_timeout(spec.stub_idle)
-            .keep_alive(spec.stub_keep_alive);
-        let mut chaos_stubs = Vec::with_capacity(spec.chaos_stubs);
-        for i in 0..spec.chaos_stubs {
-            let slice = i % spec.metro.slices();
-            let qs: Vec<Question> = spec
-                .metro
-                .slice_tracks(slice)
-                .map(|t| metro.questions[t].clone())
-                .collect();
-            let s = metro.sim.add_node(
-                0,
-                format!("chaos-stub{i}"),
-                Box::new(
-                    TreeStub::with_transport(
-                        Addr::new(edge, MOQT_PORT),
-                        qs,
-                        8000 + i as u64,
-                        transport.clone(),
-                    )
-                    .redial_after(spec.stub_redial),
-                ),
-            );
-            metro.sim.set_link(s, edge, intra);
-            chaos_stubs.push(s);
-        }
-        let settle = metro.sim.now() + spec.settle;
-        metro.sim.run_until(settle);
-        ChaosWorld {
-            metro,
-            spec: *spec,
-            chaos_edge: edge,
-            chaos_stubs,
-        }
-    }
-
-    /// The core carrying the most hash-homed tracks — its origin uplink
-    /// is the highest-impact link to flap.
-    pub fn busiest_core(&self) -> usize {
-        (0..self.spec.metro.cores)
-            .max_by_key(|&c| self.metro.shard_size(c))
-            .unwrap_or(0)
-    }
-
-    /// **Drill 1 — uplink flap.** Flaps the busiest core's origin uplink
-    /// (loss → 1.0 both ways, delay untouched so the sharded lookahead
-    /// bound holds) for [`ChaosScenario::flap_len`], pushing one full
-    /// update round mid-flap. The round's objects ride reliable streams,
-    /// so they retransmit and deliver completely after the heal.
-    pub fn flap_drill(&mut self, octet: u8) {
-        let b = self.busiest_core();
-        let auth = self.metro.auth;
-        let core = self.metro.cores[b];
-        let inter = LinkConfig::with_delay(self.spec.metro.peer_delay);
-        let t0 = self.metro.sim.now() + Duration::from_secs(1);
-        let t1 = t0 + self.spec.flap_len;
-        let plan = moqdns_netsim::FaultPlanBuilder::new(self.spec.fault_seed)
-            .window_jitter(Duration::from_millis(50))
-            .flap(auth, core, inter, t0, t1)
-            .build();
-        self.drive_segmented(
-            &plan,
-            t0 + self.spec.flap_len / 2,
-            octet,
-            t1 + self.spec.settle,
-        );
-    }
-
-    /// **Drill 2 — region partition.** Cuts every link into
-    /// [`ChaosScenario::partition_region`] (origin uplink + all core
-    /// peer links; intra-region links stay up) for
-    /// [`ChaosScenario::partition_len`], pushing one round mid-partition.
-    /// The isolated region drains completely on reunion.
-    pub fn partition_drill(&mut self, octet: u8) {
-        let r = self.spec.partition_region.min(self.spec.metro.cores - 1);
-        let core = self.metro.cores[r];
-        let inter = LinkConfig::with_delay(self.spec.metro.peer_delay);
-        let mut cut = vec![(self.metro.auth, core, inter)];
-        for (o, &c) in self.metro.cores.iter().enumerate() {
-            if o != r {
-                cut.push((c, core, inter));
-            }
-        }
-        let t0 = self.metro.sim.now() + Duration::from_secs(1);
-        let t1 = t0 + self.spec.partition_len;
-        let plan = moqdns_netsim::FaultPlanBuilder::new(self.spec.fault_seed ^ 0x2)
-            .window_jitter(Duration::from_millis(50))
-            .partition(&cut, t0, t1)
-            .build();
-        self.drive_segmented(
-            &plan,
-            t0 + self.spec.partition_len / 2,
-            octet,
-            t1 + self.spec.settle,
-        );
-    }
-
-    /// **Drill 3 — edge crash/restart.** Crashes the chaos edge
-    /// (CONNECTION_CLOSE to every peer, then dark) for
-    /// [`ChaosScenario::edge_downtime`], pushing one round mid-downtime
-    /// (the cohort is disconnected and must *not* receive it as a push —
-    /// the rejoin fetch brings them current instead), restarting it, and
-    /// settling long enough for every cohort stub to redial, re-handshake
-    /// and resubscribe. Then pushes a post-recovery round that must reach
-    /// the whole cohort.
-    pub fn crash_drill(&mut self, mid_octet: u8, post_octet: u8) {
-        let edge = self.chaos_edge;
-        let t0 = self.metro.sim.now() + Duration::from_secs(1);
-        let t1 = t0 + self.spec.edge_downtime;
-        let plan = moqdns_netsim::FaultPlanBuilder::new(self.spec.fault_seed ^ 0x3)
-            .crash(edge, t0)
-            .restart(edge, t1)
-            .build();
-        // Reconnect slack: a redial can land just before the restart and
-        // only complete on a capped PTO retransmit of its ClientHello —
-        // give the stragglers one idle-timeout cycle plus settle.
-        let end = t1 + self.spec.stub_idle + self.spec.stub_redial + self.spec.settle;
-        self.drive_segmented(&plan, t0 + self.spec.edge_downtime / 2, mid_octet, end);
-        self.metro.push_round(post_octet);
-        let settle = self.metro.sim.now() + self.spec.settle;
-        self.metro.sim.run_until(settle);
-    }
-
-    /// Drives `plan` to `mid`, pushes one update round, then drives it to
-    /// `end`. The second segment re-applies the plan's already-applied
-    /// prefix — safe: set-link events are idempotent config writes and
-    /// [`apply_relay_fault`] guards crash/restart on the relay's state.
-    fn drive_segmented(
-        &mut self,
-        plan: &moqdns_netsim::FaultPlan,
-        mid: SimTime,
-        octet: u8,
-        end: SimTime,
-    ) {
-        moqdns_netsim::run_plan(&mut self.metro.sim, plan, mid, apply_relay_fault);
-        self.metro.push_round(octet);
-        moqdns_netsim::run_plan(&mut self.metro.sim, plan, end, apply_relay_fault);
-    }
-
-    /// Pushed updates received across the chaos cohort.
-    pub fn chaos_delivered(&self) -> u64 {
-        self.chaos_stubs
-            .iter()
-            .map(|&s| self.metro.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Fetch responses (joining + rejoin) answered across the cohort.
-    pub fn chaos_fetched(&self) -> u64 {
-        self.chaos_stubs
-            .iter()
-            .map(|&s| self.metro.sim.node_ref::<TreeStub>(s).fetched)
-            .sum()
-    }
-
-    /// Duplicate / out-of-order deliveries across the cohort **and** the
-    /// original metro stubs — the no-duplicate-across-faults invariant.
-    pub fn total_regressions(&self) -> u64 {
-        self.chaos_stubs
-            .iter()
-            .chain(self.metro.stubs.iter())
-            .map(|&s| self.metro.sim.node_ref::<TreeStub>(s).regressions)
-            .sum()
-    }
-
-    /// Per-stub redial counts for the cohort.
-    pub fn chaos_redials(&self) -> Vec<u64> {
-        self.chaos_stubs
-            .iter()
-            .map(|&s| self.metro.sim.node_ref::<TreeStub>(s).redials)
-            .collect()
-    }
-
-    /// Live session count on the chaos edge (cohort + uplink).
-    pub fn edge_sessions(&self) -> usize {
-        self.metro
-            .sim
-            .node_ref::<RelayNode>(self.chaos_edge)
-            .session_count()
-    }
-
-    /// State-size estimate of the chaos edge (the high-water gate).
-    pub fn edge_state(&self) -> usize {
-        self.metro
-            .sim
-            .node_ref::<RelayNode>(self.chaos_edge)
-            .state_size_estimate()
-    }
-}
-
-/// The planet-scale federation world: the [`MetroWorld`] topology grown
-/// to dozens of regions and ~100k resident stubs
-/// ([`PlanetScenario::planet`]), with Zipf-popular track demand (ranks
-/// from [`Toplist`]) and diurnal join/leave waves of transient stubs.
-///
-/// ```text
-///                         auth (origin)
-///              /      /       |                \
-///        core[0] ── core[1] ── … full mesh … core[23]     (1 shard each)
-///         /   \                                 /   \
-///     edge[0] edge[24] …                  edge[23] edge[47] …
-///        |       |                            |
-///     521 stubs each, slice by Zipf quantile  + wave cohorts that
-///     (slice 0 = head ranks = most stubs)       join and leave
-/// ```
-///
-/// Built through [`SimHandle`], so the same world runs single-threaded
-/// (CI baseline) or sharded one-region-per-worker ([`ParSim`]) with a
-/// bit-identical event history.
-pub struct PlanetWorld {
-    /// The simulator (single-threaded or sharded — see [`SimHandle`]).
-    pub sim: SimHandle,
-    /// Tier/parent/peer bookkeeping from the builder.
-    pub topo: Topology,
-    /// The scenario this world was built from.
-    pub spec: PlanetScenario,
-    /// Origin (authoritative) server node.
-    pub auth: NodeId,
-    /// Core relay nodes (shard `i` lives on `cores[i]`, serving region `i`).
-    pub cores: Vec<NodeId>,
-    /// Edge relay nodes (edge `j` serves region `j % cores`).
-    pub edges: Vec<NodeId>,
-    /// Resident stub nodes (stub `j` hangs off edge `j % edge_count` and
-    /// subscribes to slice `spec.slice_of_stub(j)`).
-    pub stubs: Vec<NodeId>,
-    /// The questions, one per track (rank order: index 0 = rank 1).
-    pub questions: Vec<Question>,
-    /// Track record names (first label from the toplist, rank order).
-    pub track_names: Vec<Name>,
-    zone_apex: Name,
-    /// Wave cohorts added so far (for unique naming/seeding).
-    waves_added: usize,
-}
-
-impl PlanetWorld {
-    /// Builds the planet world from `spec` and settles it. Single-
-    /// threaded — the CI-baseline path.
-    pub fn build(spec: &PlanetScenario, seed: u64) -> PlanetWorld {
-        Self::build_with_workers(spec, seed, 0)
-    }
-
-    /// Builds the same world on `workers` parallel shards (`0` =
-    /// single-threaded). Sharding is by region, as in
-    /// [`MetroWorld::build_with_workers`]: only the inter-region links
-    /// cross shards and the lookahead bound is `spec.peer_delay`.
-    pub fn build_with_workers(spec: &PlanetScenario, seed: u64, workers: usize) -> PlanetWorld {
-        let workers = workers.min(spec.cores.max(1));
-        let mut sim = SimHandle::new(seed, workers);
-        let w = sim.workers();
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
-
-        // Track names and popularity come from the synthetic toplist:
-        // track `i` is toplist rank `i + 1`, hosted under one zone apex
-        // (first label kept, e.g. `site00001.planet.example`).
-        let toplist = Toplist::generate(spec.tracks, seed);
-        assert_eq!(
-            toplist.zipf_exponent(),
-            spec.zipf_s,
-            "spec popularity must match the toplist's Zipf exponent"
-        );
-        let zone_apex: Name = "planet.example".parse().unwrap();
-        let track_names: Vec<Name> = toplist
-            .domains()
-            .iter()
-            .map(|d| {
-                let label = d.name.to_string();
-                let first = label.split('.').next().expect("non-empty name");
-                format!("{first}.planet.example").parse().unwrap()
-            })
-            .collect();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for (i, name) in track_names.iter().enumerate() {
-            zone.add_record(Record::new(
-                name.clone(),
-                60,
-                RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-            ));
-        }
-        let questions: Vec<Question> = track_names
-            .iter()
-            .map(|n| Question::new(n.clone(), RecordType::A))
-            .collect();
-
-        // Node creation is dense and tier-ordered: auth = 0, cores =
-        // 1..=K (asserted below), so peer addresses are known up front.
-        let k = spec.cores;
-        let core_id = |s: usize| NodeId::from_index(1 + s);
-        let intra = LinkConfig::with_delay(spec.link_delay);
-        let inter = LinkConfig::with_delay(spec.peer_delay);
-        let ec = spec.edge_count();
-        let qs = questions.clone();
-        let sp = *spec;
-        // Region → shard: core `s` and everything under it on `s % w`
-        // (edge `j` serves region `j % k`; stub `j` hangs off edge
-        // `j % ec` — the builder's round-robin parent assignment).
-        let topo = TopoBuilder::new()
-            .tier("auth", 1, 0, inter)
-            .tier("core", k, 1, inter)
-            .tier("edge", ec, 1, intra)
-            .tier("stub", spec.stub_count(), 1, intra)
-            .peer_full_mesh("core", inter)
-            .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-                "auth" => sim.add_node(
-                    0,
-                    ctx.name.clone(),
-                    Box::new(AuthServer::new(
-                        Authority::single(zone.clone()),
-                        TransportConfig::default()
-                            .idle_timeout(Duration::from_secs(3600))
-                            .keep_alive(Duration::from_secs(60)),
-                        11,
-                    )),
-                ),
-                "core" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    let peers: Vec<Addr> = (0..k)
-                        .filter(|&s| s != ctx.index)
-                        .map(|s| Addr::new(core_id(s), MOQT_PORT))
-                        .collect();
-                    sim.add_node(
-                        ctx.index % w,
-                        ctx.name.clone(),
-                        Box::new(
-                            RelayNode::new(parent, 0, 40 + ctx.index as u64)
-                                .peers(peers, ctx.index)
-                                .tier("core"),
-                        ),
-                    )
-                }
-                "edge" => {
-                    let parent = Addr::new(ctx.parents[0], MOQT_PORT);
-                    sim.add_node(
-                        (ctx.index % k) % w,
-                        ctx.name.clone(),
-                        Box::new(RelayNode::new(parent, 0, 60 + ctx.index as u64).tier("edge")),
-                    )
-                }
-                _ => {
-                    let slice = sp.slice_of_stub(ctx.index);
-                    let slice_qs: Vec<Question> =
-                        sp.slice_tracks(slice).map(|t| qs[t].clone()).collect();
-                    sim.add_node(
-                        ((ctx.index % ec) % k) % w,
-                        ctx.name.clone(),
-                        Box::new(TreeStub::new(
-                            Addr::new(ctx.parents[0], MOQT_PORT),
-                            slice_qs,
-                            100 + ctx.index as u64,
-                        )),
-                    )
-                }
-            });
-
-        let auth = topo.tier_named("auth")[0];
-        let cores = topo.tier_named("core").to_vec();
-        for (s, &c) in cores.iter().enumerate() {
-            assert_eq!(c, core_id(s), "dense tier-ordered node ids");
-        }
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-        let mut world = PlanetWorld {
-            sim,
-            topo,
-            spec: *spec,
-            auth,
-            cores,
-            edges,
-            stubs,
-            questions,
-            track_names,
-            zone_apex,
-            waves_added: 0,
-        };
-        world
-            .sim
-            .run_until(world.sim.now() + Duration::from_secs(10));
-        world
-    }
-
-    /// The home core (hash shard) of track `i`.
-    pub fn home_core(&self, i: usize) -> usize {
-        let track = track_from_question(&self.questions[i], RequestFlags::iterative()).unwrap();
-        (track_hash(&track) % self.spec.cores as u64) as usize
-    }
-
-    /// Replaces track `i`'s A record at the origin.
-    pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = self.track_names[i].clone();
-        let apex = self.zone_apex.clone();
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
-                }
-            });
-        });
-    }
-
-    /// Pushes one round of updates (every track once) and settles.
-    pub fn update_round(&mut self, octet_base: u8) {
-        for i in 0..self.spec.tracks {
-            self.update_track(i, octet_base.wrapping_add(i as u8));
-        }
-        let deadline = self.sim.now() + self.spec.update_interval;
-        self.sim.run_until(deadline);
-    }
-
-    /// A diurnal wave dawns: [`PlanetScenario::wave_stubs_per_edge`]
-    /// transient stubs join under *every* edge, each subscribing its
-    /// Zipf-popular slice ([`PlanetScenario::wave_slice_of`]). Returns
-    /// the cohort (run the sim to let their joins settle).
-    pub fn add_wave(&mut self) -> Vec<NodeId> {
-        let wave = self.waves_added;
-        self.waves_added += 1;
-        let intra = LinkConfig::with_delay(self.spec.link_delay);
-        let workers = self.sim.workers();
-        let mut cohort = Vec::new();
-        for (e, &edge) in self.edges.clone().iter().enumerate() {
-            let shard = self.spec.region_of_edge(e) % workers;
-            for i in 0..self.spec.wave_stubs_per_edge {
-                let slice = self.spec.wave_slice_of(i);
-                let slice_qs: Vec<Question> = self
-                    .spec
-                    .slice_tracks(slice)
-                    .map(|t| self.questions[t].clone())
-                    .collect();
-                let s = self.sim.add_node(
-                    shard,
-                    format!("wave{wave}-e{e}-{i}"),
-                    Box::new(TreeStub::new(
-                        Addr::new(edge, MOQT_PORT),
-                        slice_qs,
-                        500_000 + ((wave * self.edges.len() + e) * 1024 + i) as u64,
-                    )),
-                );
-                self.sim.set_link(s, edge, intra);
-                cohort.push(s);
-            }
-        }
-        cohort
-    }
-
-    /// The wave's dusk: every cohort stub goes offline (connections
-    /// close; the edges tear their sessions down).
-    pub fn leave_wave(&mut self, cohort: &[NodeId]) {
-        for &s in cohort {
-            self.sim.with_node::<TreeStub, _>(s, |stub, ctx| {
-                stub.leave(ctx);
-            });
-        }
-    }
-
-    /// Total pushed updates received across the resident stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Joining fetches answered across the resident stubs.
-    pub fn fetched_total(&self) -> u64 {
-        self.stubs
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).fetched)
-            .sum()
-    }
-
-    /// Total pushed updates received across an arbitrary stub cohort.
-    pub fn cohort_updates(&self, cohort: &[NodeId]) -> u64 {
-        cohort
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
-            .sum()
-    }
-
-    /// Joining fetches answered across an arbitrary stub cohort.
-    pub fn cohort_fetched(&self, cohort: &[NodeId]) -> u64 {
-        cohort
-            .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).fetched)
-            .sum()
-    }
-
-    /// Upstream fetches opened by the whole edge tier so far (monotone).
-    pub fn edge_fetch_sum(&self) -> u64 {
-        self.edges
-            .iter()
-            .map(|&e| self.sim.node_ref::<RelayNode>(e).stats().upstream_fetches)
-            .sum()
-    }
-
-    /// Live sessions across the whole edge tier (downstream + uplinks) —
-    /// the state the diurnal drill requires waves to give back.
-    pub fn edge_session_sum(&self) -> usize {
-        self.edges
-            .iter()
-            .map(|&e| self.sim.node_ref::<RelayNode>(e).session_count())
-            .sum()
-    }
-
-    /// Per-tier relay stats (core first, then edge).
-    pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        for (label, ids) in [("core", &self.cores), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
-            }
-            out.push(tier);
-        }
-        out
-    }
-}
-
-/// Which attacker hangs off the first edge relay of an
-/// [`AdversarialWorld`].
+/// Which attacker hangs off the first edge relay of the hardening drill's
+/// [`RelayWorld`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackKind {
     /// Garbage control bytes, bogus-alias datagrams, duplicate request
@@ -2335,216 +694,724 @@ impl AttackKind {
     }
 }
 
-/// The hardening-drill world (built from an [`AdversarialScenario`]):
-/// origin → core relay → edge relays → honest [`TreeStub`]s, plus ONE
-/// attacker of the chosen [`AttackKind`] connected to the first edge.
-/// Edge relays run with the scenario's tightened [`RelayLimits`] and
-/// session-backlog bound; the honest population must not notice.
-pub struct AdversarialWorld {
-    /// The simulator.
-    pub sim: Simulator,
-    /// Tier/parent bookkeeping from the builder.
-    pub topo: Topology,
-    /// Authoritative origin node.
-    pub auth: NodeId,
-    /// The single core relay.
-    pub core: NodeId,
-    /// Edge relays (the attacker targets the first).
-    pub edges: Vec<NodeId>,
-    /// Honest stub subscribers.
-    pub stubs: Vec<NodeId>,
-    /// The attacker node.
-    pub attacker: NodeId,
-    /// Which attack the attacker runs.
-    pub attack: AttackKind,
-    /// The questions (one per track) every honest stub subscribes to.
-    pub questions: Vec<Question>,
-    zone_apex: Name,
-}
-
-impl AdversarialWorld {
-    /// Record name for track `i`.
-    pub fn record_name(i: usize) -> Name {
-        format!("r{i}.adv.example").parse().unwrap()
-    }
-
-    /// Builds the world, settles the honest tree, then connects the
-    /// attacker and lets it reach its target.
-    pub fn build(spec: &AdversarialScenario, attack: AttackKind, seed: u64) -> AdversarialWorld {
-        let mut sim = Simulator::new(seed);
-        sim.set_default_link(LinkConfig::with_delay(spec.link_delay));
-
-        let zone_apex: Name = "adv.example".parse().unwrap();
-        let mut zone = Zone::with_default_soa(zone_apex.clone());
-        for i in 0..spec.tracks {
-            zone.add_record(Record::new(
-                Self::record_name(i),
-                60,
-                RData::A(Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1)),
-            ));
-        }
-        let questions: Vec<Question> = (0..spec.tracks)
-            .map(|i| Question::new(Self::record_name(i), RecordType::A))
-            .collect();
-
-        let limits = RelayLimits {
-            max_outstanding_fetches_per_session: spec.max_outstanding_fetches,
-            evict_after_throttles: spec.evict_after_throttles,
-        };
-        let backlog = spec.session_backlog;
-        let qs = questions.clone();
-        let link = LinkConfig::with_delay(spec.link_delay);
-        let topo = TopoBuilder::new()
-            .tier("auth", 1, 0, link)
-            .tier("core", 1, 1, link)
-            .tier("edge", spec.edges, 1, link)
-            .tier("stub", spec.stub_count(), 1, link)
-            .build(&mut sim, move |sim, ctx| match ctx.tier_name {
-                "auth" => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(AuthServer::new(
-                        Authority::single(zone.clone()),
-                        TransportConfig::default()
-                            .idle_timeout(Duration::from_secs(3600))
-                            .keep_alive(Duration::from_secs(25)),
-                        11,
-                    )),
-                ),
-                "core" => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(
-                        RelayNode::new(Addr::new(ctx.parents[0], MOQT_PORT), 0, 40).tier("core"),
-                    ),
-                ),
-                "edge" => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(
-                        RelayNode::new(
-                            Addr::new(ctx.parents[0], MOQT_PORT),
-                            0,
-                            60 + ctx.index as u64,
-                        )
-                        .tier("edge")
-                        .limits(limits)
-                        .session_backlog(backlog),
-                    ),
-                ),
-                _ => sim.add_node(
-                    ctx.name.clone(),
-                    Box::new(TreeStub::new(
-                        Addr::new(ctx.parents[0], MOQT_PORT),
-                        qs.clone(),
-                        100 + ctx.index as u64,
-                    )),
-                ),
-            });
-
-        let auth = topo.tier_named("auth")[0];
-        let core = topo.tier_named("core")[0];
-        let edges = topo.tier_named("edge").to_vec();
-        let stubs = topo.tier_named("stub").to_vec();
-
-        // Settle the honest tree before the attacker shows up, so the
-        // baseline subscriptions are in place.
-        sim.run_until(sim.now() + Duration::from_secs(5));
-
-        let target = Addr::new(edges[0], MOQT_PORT);
-        let attacker_node: Box<dyn Node> = match attack {
+impl AttackKind {
+    /// The attacker node aimed at `target`, configured from the spec's
+    /// [`Attack`](moqdns_workload::scenarios::Attack) (the slow-loris
+    /// subscribes to `questions`).
+    pub fn node(
+        self,
+        spec: &RelayTreeSpec,
+        target: Addr,
+        questions: Vec<Question>,
+    ) -> Box<dyn Node> {
+        let a = spec.attack.expect("the spec has no attacker");
+        match self {
             AttackKind::Byzantine => {
-                Box::new(ByzantineNode::new(target, spec.attack_interval, 900))
+                Box::new(ByzantineNode::new(target, a.interval, ATTACKER_SEED))
             }
-            AttackKind::SlowLoris => Box::new(SlowLorisNode::new(target, questions.clone(), 900)),
+            AttackKind::SlowLoris => Box::new(SlowLorisNode::new(target, questions, ATTACKER_SEED)),
             AttackKind::FetchBomb => Box::new(FetchBombNode::new(
                 target,
-                spec.attack_interval,
-                spec.fetch_burst,
-                900,
+                a.interval,
+                a.fetch_burst,
+                ATTACKER_SEED,
             )),
-        };
-        let attacker = sim.add_node(format!("attacker-{}", attack.label()), attacker_node);
-        sim.run_until(sim.now() + Duration::from_secs(1));
-
-        AdversarialWorld {
-            sim,
-            topo,
-            auth,
-            core,
-            edges,
-            stubs,
-            attacker,
-            attack,
-            questions,
-            zone_apex,
         }
     }
+}
 
-    /// Replaces track `i`'s A record, triggering a push through the tree.
-    pub fn update_track(&mut self, i: usize, new_octet: u8) {
-        let name = Self::record_name(i);
-        let apex = self.zone_apex.clone();
-        self.sim.with_node::<AuthServer, _>(self.auth, |a, ctx| {
-            a.update_zone(ctx, |authority| {
-                if let Some(z) = authority.find_zone_mut(&apex) {
-                    z.set_records(
-                        &name,
-                        RecordType::A,
-                        vec![Record::new(
-                            name.clone(),
-                            60,
-                            RData::A(Ipv4Addr::new(198, 51, 100, new_octet)),
-                        )],
-                    );
+/// Stubs joining a built [`RelayWorld`] mid-run: a late edge's cold
+/// cohort, the chaos redial cohort, a diurnal wave, a late joiner.
+#[derive(Debug, Clone)]
+pub struct Cohort {
+    /// Stub `i` is named `"{name}{i}"`.
+    pub name: String,
+    /// Stubs in the cohort.
+    pub stubs: usize,
+    /// Stub `i` is seeded `seed + i`.
+    pub seed: u64,
+    /// Stub `i` takes the wave slice [`RelayTreeSpec::wave_slice_of`]
+    /// instead of slice `i % slices`.
+    pub wave: bool,
+    /// Short-idle transport `(idle, keep_alive)` plus a redial delay, for
+    /// stubs that must come back after their parent crashes; `None` keeps
+    /// the patient hour-idle default.
+    pub redial: Option<(Duration, Duration, Duration)>,
+}
+
+impl Cohort {
+    /// `stubs` patient stubs named `"{name}{i}"`, seeded from `seed`,
+    /// each on slice `i % slices`.
+    pub fn new(name: impl Into<String>, stubs: usize, seed: u64) -> Cohort {
+        Cohort {
+            name: name.into(),
+            stubs,
+            seed,
+            wave: false,
+            redial: None,
+        }
+    }
+}
+
+/// The one simulated relay-tree world, built from a [`RelayTreeSpec`]:
+///
+/// ```text
+///                 auth (origin)
+///                /      |      \          relay tiers, top-down, each
+///           tier[0] ══ tier[0] ══ …       StaticParent / Failover /
+///             |  \       |                HashShard; a federated tier
+///           tier[1] …  tier[1] …          full-mesh peers and anchors
+///             |           |               one region per relay
+///           stubs       stubs             (TreeStub leaves, sliced)
+/// ```
+///
+/// Nodes are created tier by tier through `netsim::topo`, so every link's
+/// traffic is observable through `sim.stats()`. The world runs on
+/// [`SimHandle`]: `workers = 0` is the single-threaded CI-baseline
+/// simulator, `workers >= 1` shards it by region (a node runs on its
+/// region's shard `region % workers`; only the inter-region links cross
+/// shards) with a bit-identical event history.
+///
+/// The verbs every scenario shares live here once: update a track or a
+/// round, crash or restart a node ([`RelayWorld::fault`]), attach an
+/// edge with a stub cohort ([`RelayWorld::attach`]), sum stub counters
+/// over a node set, and per-tier relay stats. The chaos world's fault
+/// drills are seeded [`FaultPlan`]s driven over
+/// it.
+pub struct RelayWorld {
+    /// The simulator (single-threaded or sharded).
+    pub sim: SimHandle,
+    /// Tier/parent/peer bookkeeping from the builder.
+    pub topo: Topology,
+    /// The spec this world was built from.
+    pub spec: RelayTreeSpec,
+    /// Origin (authoritative) server node.
+    pub auth: NodeId,
+    /// Relay nodes, one list per relay tier (top-down).
+    pub relays: Vec<Vec<NodeId>>,
+    /// Resident stub nodes: stub `j` hangs off edge `j % edge_count` and
+    /// subscribes to slice `spec.slice_of_stub(j)`.
+    pub stubs: Vec<NodeId>,
+    /// The questions, one per track.
+    pub questions: Vec<Question>,
+    /// The chaos world's crash-target edge (region 0).
+    pub chaos_edge: Option<NodeId>,
+    /// The redial cohort below [`RelayWorld::chaos_edge`].
+    pub chaos_stubs: Vec<NodeId>,
+    apex: Name,
+    late_edges: usize,
+    waves_added: usize,
+}
+
+/// Sets `name`'s A record to `addr` at the origin, triggering pushes.
+fn set_record(auth: &mut AuthServer, ctx: &mut Ctx<'_>, apex: &Name, name: &Name, addr: Ipv4Addr) {
+    auth.update_zone(ctx, |authority| {
+        if let Some(z) = authority.find_zone_mut(apex) {
+            z.set_records(
+                name,
+                RecordType::A,
+                vec![Record::new(name.clone(), 60, RData::A(addr))],
+            );
+        }
+    });
+}
+
+impl RelayWorld {
+    /// Builds the world from `spec` on `workers` shards (`0` =
+    /// single-threaded; clamped to the region count) and settles it for
+    /// `spec.settle`: stubs connected, joining fetches answered, parent
+    /// and peer subscriptions in place. A chaos spec then attaches the
+    /// chaos edge and its redial cohort and settles again.
+    pub fn build(spec: &RelayTreeSpec, seed: u64, workers: usize) -> RelayWorld {
+        if let Slicing::Walk { .. } = spec.slicing {
+            assert!(
+                spec.stubs.per_edge >= spec.slices(),
+                "every edge must see every slice for the fetch invariants"
+            );
+        }
+        let mut sim = SimHandle::new(seed, workers.min(spec.regions()));
+        let w = sim.workers();
+        let intra = LinkConfig::with_delay(spec.link_delay);
+        let inter = LinkConfig::with_delay(spec.peer_delay);
+        sim.set_default_link(intra);
+
+        let apex: Name = spec.apex.parse().unwrap();
+        let mut zone = Zone::with_default_soa(apex.clone());
+        let names = spec.track_names(seed);
+        for (i, name) in names.iter().enumerate() {
+            let addr = Ipv4Addr::new(192, 0, 2, (i % 250) as u8 + 1);
+            zone.add_record(Record::new(name.clone(), 60, RData::A(addr)));
+        }
+        let questions: Vec<Question> = names
+            .into_iter()
+            .map(|name| Question::new(name, RecordType::A))
+            .collect();
+
+        let mut b = TopoBuilder::new().tier(spec.auth.name, 1, 0, intra);
+        let mut above = 1;
+        // First node id of each relay tier: creation is dense and
+        // tier-ordered (auth = 0, asserted per node below), so a federated
+        // core's peer addresses are known before its siblings exist.
+        let mut first_id = Vec::new();
+        for t in &spec.relays {
+            first_id.push(first_id.last().map_or(1, |&f| f + above));
+            let (parents, mode) = match t.policy {
+                RelayPolicy::StaticParent => (1, ParentMode::Rotate),
+                RelayPolicy::Failover => (2, ParentMode::Rotate),
+                RelayPolicy::HashShard => (above, ParentMode::Aligned),
+            };
+            let link = if t.federated { inter } else { intra };
+            b = b.tier_with_mode(t.name.clone(), t.count, parents, link, mode);
+            above = t.count;
+        }
+        b = b.tier(spec.stubs.name, spec.stub_count(), 1, intra);
+        for t in spec.relays.iter().filter(|t| t.federated) {
+            b = b.peer_full_mesh(t.name.clone(), inter);
+        }
+
+        let auth_transport = match spec.auth.keep_alive {
+            Some(k) => TransportConfig::default()
+                .idle_timeout(Duration::from_secs(3600))
+                .keep_alive(k),
+            None => TransportConfig::default(),
+        };
+        // Region of every node created so far (by node index): a
+        // federated relay anchors its own, everyone else inherits its
+        // primary parent's. Shard = region % workers.
+        let mut region: Vec<usize> = Vec::new();
+        let topo = b.build(&mut sim, |sim, ctx| {
+            let up = |i: usize| Addr::new(ctx.parents[i], MOQT_PORT);
+            let inherited = ctx.parents.first().map_or(0, |p| region[p.index()]);
+            let (node, reg): (Box<dyn Node>, usize) = match ctx.tier {
+                0 => (
+                    Box::new(AuthServer::new(
+                        Authority::single(zone.clone()),
+                        auth_transport.clone(),
+                        spec.auth.seed,
+                    )),
+                    0,
+                ),
+                t if t <= spec.relays.len() => {
+                    let tier = &spec.relays[t - 1];
+                    let policy: Box<dyn RoutePolicy> = match tier.policy {
+                        RelayPolicy::StaticParent => Box::new(StaticParent),
+                        RelayPolicy::Failover => Box::new(Failover),
+                        RelayPolicy::HashShard => Box::new(HashShard),
+                    };
+                    let parents = (0..ctx.parents.len()).map(up).collect();
+                    let seed = tier.seed + ctx.index as u64;
+                    let mut relay =
+                        RelayNode::with_policy(parents, policy, 0, seed).tier(&tier.name);
+                    if tier.federated {
+                        let peers = (0..tier.count)
+                            .filter(|&s| s != ctx.index)
+                            .map(|s| Addr::new(NodeId::from_index(first_id[t - 1] + s), MOQT_PORT))
+                            .collect();
+                        relay = relay.peers(peers, ctx.index);
+                    }
+                    if let Some(l) = tier.limits {
+                        relay = relay
+                            .limits(RelayLimits {
+                                max_outstanding_fetches_per_session: l.max_outstanding_fetches,
+                                evict_after_throttles: l.evict_after_throttles,
+                            })
+                            .session_backlog(l.session_backlog);
+                    }
+                    let reg = if tier.federated { ctx.index } else { inherited };
+                    (Box::new(relay), reg)
                 }
-            });
+                _ => {
+                    let qs = spec
+                        .slice_tracks(spec.slice_of_stub(ctx.index))
+                        .map(|t| questions[t].clone())
+                        .collect();
+                    let seed = spec.stubs.seed + ctx.index as u64;
+                    (Box::new(TreeStub::new(up(0), qs, seed)), inherited)
+                }
+            };
+            let id = sim.add_node(reg % w, ctx.name.clone(), node);
+            assert_eq!(id.index(), region.len(), "dense tier-ordered node ids");
+            region.push(reg);
+            id
+        });
+
+        let mut world = RelayWorld {
+            auth: topo.tier(0)[0],
+            stubs: topo.tier(spec.relays.len() + 1).to_vec(),
+            relays: (1..=spec.relays.len())
+                .map(|t| topo.tier(t).to_vec())
+                .collect(),
+            sim,
+            topo,
+            spec: spec.clone(),
+            questions,
+            chaos_edge: None,
+            chaos_stubs: Vec::new(),
+            apex,
+            late_edges: 0,
+            waves_added: 0,
+        };
+        world.sim.run_for(spec.settle);
+        if let Some(c) = spec.chaos {
+            let cohort = Cohort {
+                redial: Some((c.stub_idle, c.stub_keep_alive, c.stub_redial)),
+                ..Cohort::new("chaos-stub", c.stubs, CHAOS_STUB_SEED)
+            };
+            let core = world.cores()[0];
+            let (edge, stubs) = world.attach(core, Some(("chaos-edge", CHAOS_EDGE_SEED)), &cohort);
+            world.chaos_edge = Some(edge);
+            world.chaos_stubs = stubs;
+            world.sim.run_for(c.settle);
+        }
+        world
+    }
+
+    /// The first relay tier (the cores / hash shards).
+    pub fn cores(&self) -> &[NodeId] {
+        self.relays.first().map_or(&[], Vec::as_slice)
+    }
+
+    /// The last relay tier (the edges the stubs hang off).
+    pub fn edges(&self) -> &[NodeId] {
+        self.relays.last().map_or(&[], Vec::as_slice)
+    }
+
+    /// The relay node at `id`.
+    pub fn relay(&self, id: NodeId) -> &RelayNode {
+        self.sim.node_ref::<RelayNode>(id)
+    }
+
+    fn update_addr(&self, octet: u8) -> Ipv4Addr {
+        let [a, b, c] = self.spec.update_net;
+        Ipv4Addr::new(a, b, c, octet)
+    }
+
+    /// Replaces track `i`'s A record at the origin, triggering a push
+    /// through the tree.
+    pub fn update_track(&mut self, i: usize, octet: u8) {
+        let (apex, name, addr) = (
+            &self.apex,
+            &self.questions[i].qname,
+            self.update_addr(octet),
+        );
+        self.sim
+            .with_node::<AuthServer, _>(self.auth, |a, ctx| set_record(a, ctx, apex, name, addr));
+    }
+
+    /// Schedules [`RelayWorld::update_track`] at absolute time `at`, as
+    /// an event of the single-threaded simulator.
+    pub fn schedule_update(&mut self, at: SimTime, i: usize, octet: u8) {
+        let (auth, apex, name) = (
+            self.auth,
+            self.apex.clone(),
+            self.questions[i].qname.clone(),
+        );
+        let addr = self.update_addr(octet);
+        let SimHandle::Single(sim) = &mut self.sim else {
+            panic!("scheduled updates need the single-threaded simulator");
+        };
+        sim.schedule_at(at, move |sim| {
+            sim.with_node::<AuthServer, _>(auth, |a, ctx| set_record(a, ctx, &apex, &name, addr));
         });
     }
 
-    /// One update round: bumps every track once, then lets it propagate.
-    pub fn update_round(&mut self, octet_base: u8) {
+    /// Pushes one round of updates (track `i` gets `octet_base + i`)
+    /// without advancing time — the chaos drills push mid-fault-window
+    /// and let the fault plan drive the clock.
+    pub fn push_round(&mut self, octet_base: u8) {
         for i in 0..self.questions.len() {
             self.update_track(i, octet_base.wrapping_add(i as u8));
         }
     }
 
-    /// Total pushed updates received across the HONEST stubs.
-    pub fn delivered_updates(&self) -> u64 {
-        self.stubs
+    /// Pushes one round of updates and settles for the update interval.
+    pub fn update_round(&mut self, octet_base: u8) {
+        self.push_round(octet_base);
+        self.sim.run_for(self.spec.update_interval);
+    }
+
+    /// Applies a crash or restart to `node`: relays through
+    /// [`apply_relay_fault`]; the origin can only crash (it goes dark
+    /// for good).
+    pub fn fault(&mut self, node: NodeId, fault: NodeFault) {
+        if node == self.auth {
+            assert_eq!(fault, NodeFault::Crash, "the origin never restarts");
+            self.sim
+                .with_node::<AuthServer, _>(node, |a, ctx| a.shutdown(ctx));
+        } else {
+            apply_relay_fault(&mut self.sim, node, fault);
+        }
+    }
+
+    /// Kills the origin mid-run.
+    pub fn kill_origin(&mut self) {
+        self.fault(self.auth, NodeFault::Crash);
+    }
+
+    /// Attaches `node` below `parent`: it runs on the parent's shard and
+    /// links to it over the intra-region delay.
+    pub fn attach_node(
+        &mut self,
+        parent: NodeId,
+        name: impl Into<String>,
+        node: Box<dyn Node>,
+    ) -> NodeId {
+        let id = self.sim.add_node(self.sim.shard_of(parent), name, node);
+        self.sim
+            .set_link(id, parent, LinkConfig::with_delay(self.spec.link_delay));
+        id
+    }
+
+    /// Attaches `cohort` below `parent` — behind a fresh edge relay when
+    /// `edge` names one (`(name, seed)`; its tier label is the name
+    /// without a trailing index), straight to `parent` otherwise. Returns
+    /// the cohort's parent and its stubs; run the sim to let their joins
+    /// settle.
+    pub fn attach(
+        &mut self,
+        parent: NodeId,
+        edge: Option<(&str, u64)>,
+        cohort: &Cohort,
+    ) -> (NodeId, Vec<NodeId>) {
+        let parent = match edge {
+            Some((name, seed)) => {
+                let label = name.trim_end_matches(|c: char| c.is_ascii_digit());
+                let relay = RelayNode::new(Addr::new(parent, MOQT_PORT), 0, seed).tier(label);
+                self.attach_node(parent, name, Box::new(relay))
+            }
+            None => parent,
+        };
+        let stubs = (0..cohort.stubs)
+            .map(|i| {
+                let slice = if cohort.wave {
+                    self.spec.wave_slice_of(i)
+                } else {
+                    i % self.spec.slices()
+                };
+                let qs = self
+                    .spec
+                    .slice_tracks(slice)
+                    .map(|t| self.questions[t].clone())
+                    .collect();
+                let server = Addr::new(parent, MOQT_PORT);
+                let seed = cohort.seed + i as u64;
+                let stub = match cohort.redial {
+                    None => TreeStub::new(server, qs, seed),
+                    Some((idle, keep_alive, redial)) => {
+                        let t = TransportConfig::default()
+                            .idle_timeout(idle)
+                            .keep_alive(keep_alive);
+                        TreeStub::with_transport(server, qs, seed, t).redial_after(redial)
+                    }
+                };
+                self.attach_node(parent, format!("{}{i}", cohort.name), Box::new(stub))
+            })
+            .collect();
+        (parent, stubs)
+    }
+
+    /// Adds a brand-new edge relay in `region` with `stubs` fresh stubs
+    /// (stub `i` takes slice `i % slices`) — a cold cache joining after,
+    /// e.g., the origin died. Seeds come from `spec.late`.
+    pub fn add_late_edge(&mut self, region: usize, stubs: usize) -> (NodeId, Vec<NodeId>) {
+        let n = self.late_edges;
+        self.late_edges += 1;
+        let l = self.spec.late;
+        let cohort = Cohort::new(
+            format!("late-stub{n}-"),
+            stubs,
+            l.stub_seed + n as u64 * l.stride,
+        );
+        let core = self.cores()[region];
+        self.attach(
+            core,
+            Some((&format!("late-edge{n}"), l.edge_seed + n as u64)),
+            &cohort,
+        )
+    }
+
+    /// A diurnal wave dawns: `spec.waves.stubs_per_edge` transient stubs
+    /// join under *every* edge, each subscribing its Zipf-popular slice.
+    /// Returns the cohort (run the sim to let their joins settle).
+    pub fn add_wave(&mut self) -> Vec<NodeId> {
+        let wave = self.waves_added;
+        self.waves_added += 1;
+        let wv = self.spec.waves;
+        let edges = self.edges().to_vec();
+        let mut all = Vec::new();
+        for (e, &edge) in edges.iter().enumerate() {
+            let cohort = Cohort {
+                wave: true,
+                ..Cohort::new(
+                    format!("wave{wave}-e{e}-"),
+                    wv.stubs_per_edge,
+                    WAVE_SEED + (wave * edges.len() + e) as u64 * WAVE_SEED_STRIDE,
+                )
+            };
+            all.extend(self.attach(edge, None, &cohort).1);
+        }
+        all
+    }
+
+    /// The wave's dusk: every cohort stub goes offline (connections
+    /// close; the edges tear their sessions down).
+    pub fn leave_wave(&mut self, cohort: &[NodeId]) {
+        for &s in cohort {
+            self.sim
+                .with_node::<TreeStub, _>(s, |stub, ctx| stub.leave(ctx));
+        }
+    }
+
+    fn stub_sum(&self, nodes: &[NodeId], f: impl Fn(&TreeStub) -> u64) -> u64 {
+        nodes
             .iter()
-            .map(|&s| self.sim.node_ref::<TreeStub>(s).updates)
+            .map(|&s| f(self.sim.node_ref::<TreeStub>(s)))
             .sum()
     }
 
-    /// Folded counters of the attacked edge relay.
-    pub fn target_edge_stats(&self) -> moqdns_moqt::relay::RelayStats {
-        self.sim.node_ref::<RelayNode>(self.edges[0]).stats()
+    /// Pushed updates received across a stub set.
+    pub fn cohort_updates(&self, nodes: &[NodeId]) -> u64 {
+        self.stub_sum(nodes, |s| s.updates)
     }
 
-    /// Live session + connection state held by the attacked edge.
-    pub fn target_edge_state_size(&self) -> usize {
-        self.sim
-            .node_ref::<RelayNode>(self.edges[0])
-            .state_size_estimate()
+    /// Fetch responses (joining + rejoin) answered across a stub set.
+    pub fn cohort_fetched(&self, nodes: &[NodeId]) -> u64 {
+        self.stub_sum(nodes, |s| s.fetched)
     }
 
-    /// Live sessions on the attacked edge.
-    pub fn target_edge_sessions(&self) -> usize {
-        self.sim
-            .node_ref::<RelayNode>(self.edges[0])
-            .session_count()
+    /// Duplicate / out-of-order deliveries across a stub set.
+    pub fn cohort_regressions(&self, nodes: &[NodeId]) -> u64 {
+        self.stub_sum(nodes, |s| s.regressions)
     }
 
-    /// Per-tier relay stats (core first, then edge).
+    /// Pushed updates received across the resident stubs.
+    pub fn delivered_updates(&self) -> u64 {
+        self.cohort_updates(&self.stubs)
+    }
+
+    /// Joining fetches answered across the resident stubs.
+    pub fn fetched_total(&self) -> u64 {
+        self.cohort_fetched(&self.stubs)
+    }
+
+    /// Sums `f` over a relay set (e.g. upstream fetches of the edge tier).
+    pub fn relay_sum(&self, nodes: &[NodeId], f: impl Fn(&RelayNode) -> u64) -> u64 {
+        nodes.iter().map(|&r| f(self.relay(r))).sum()
+    }
+
+    /// Update datagrams delivered from the origin into the first tier.
+    pub fn delivered_into_cores(&self) -> u64 {
+        self.cores()
+            .iter()
+            .map(|&c| self.sim.stats().between(self.auth, c).delivered)
+            .sum()
+    }
+
+    /// Per-tier relay stats, one entry per relay tier (top-down).
     pub fn tier_stats(&self) -> Vec<TierRelayStats> {
-        let mut out = Vec::new();
-        let core_ids = vec![self.core];
-        for (label, ids) in [("core", &core_ids), ("edge", &self.edges)] {
-            let mut tier = TierRelayStats::new(label);
-            for &id in ids {
-                let r = self.sim.node_ref::<RelayNode>(id);
-                tier.accumulate(r.stats(), r.upstream_subscription_count());
+        self.spec
+            .relays
+            .iter()
+            .zip(&self.relays)
+            .map(|(t, ids)| {
+                let mut tier = TierRelayStats::new(&t.name);
+                for &id in ids {
+                    let r = self.relay(id);
+                    tier.accumulate(r.stats(), r.upstream_subscription_count());
+                }
+                tier
+            })
+            .collect()
+    }
+
+    /// The relay-to-relay links (origin→first tier and every primary
+    /// relay→relay attachment) — the links the §3 one-copy invariant
+    /// constrains. Stub attachments carry the fan-out and are excluded.
+    pub fn upstream_links(&self) -> Vec<(NodeId, NodeId)> {
+        self.topo
+            .primary_edges()
+            .filter(|(_, child)| self.relays.iter().any(|t| t.contains(child)))
+            .collect()
+    }
+
+    /// The home core (hash shard) of track `i` — identical everywhere.
+    pub fn home_core(&self, i: usize) -> usize {
+        let track = track_from_question(&self.questions[i], RequestFlags::iterative()).unwrap();
+        (track_hash(&track) % self.spec.shards() as u64) as usize
+    }
+
+    /// Tracks homed on core `c`.
+    pub fn shard_size(&self, c: usize) -> usize {
+        (0..self.questions.len())
+            .filter(|&i| self.home_core(i) == c)
+            .count()
+    }
+
+    /// Resident stubs whose edge lives in `region`.
+    pub fn region_stubs(&self, region: usize) -> Vec<NodeId> {
+        let edges = self.spec.edge_count();
+        self.stubs
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| self.spec.region_of_edge(j % edges) == region)
+            .map(|(_, &s)| s)
+            .collect()
+    }
+
+    fn drill(&self) -> ChaosDrill {
+        self.spec.chaos.expect("not a chaos world")
+    }
+
+    /// Pushed updates received across the chaos cohort.
+    pub fn chaos_delivered(&self) -> u64 {
+        self.cohort_updates(&self.chaos_stubs)
+    }
+
+    /// Fetch responses (joining + rejoin) answered across the cohort.
+    pub fn chaos_fetched(&self) -> u64 {
+        self.cohort_fetched(&self.chaos_stubs)
+    }
+
+    /// Per-stub redial counts for the cohort.
+    pub fn chaos_redials(&self) -> Vec<u64> {
+        self.chaos_stubs
+            .iter()
+            .map(|&s| self.sim.node_ref::<TreeStub>(s).redials)
+            .collect()
+    }
+
+    /// Duplicate / out-of-order deliveries across the cohort **and** the
+    /// resident stubs — the no-duplicate-across-faults invariant.
+    pub fn total_regressions(&self) -> u64 {
+        self.cohort_regressions(&self.chaos_stubs) + self.cohort_regressions(&self.stubs)
+    }
+
+    /// The core carrying the most hash-homed tracks — its origin uplink
+    /// is the highest-impact link to flap.
+    pub fn busiest_core(&self) -> usize {
+        (0..self.spec.regions())
+            .max_by_key(|&c| self.shard_size(c))
+            .unwrap_or(0)
+    }
+
+    /// **Drill 1 — uplink flap.** Flaps the busiest core's origin uplink
+    /// (loss → 1.0 both ways, delay untouched so the sharded lookahead
+    /// bound holds) for the drill's `flap_len`, pushing one full update
+    /// round mid-flap. The round's objects ride reliable streams, so they
+    /// retransmit and deliver completely after the heal.
+    pub fn flap_drill(&mut self, octet: u8) {
+        let c = self.drill();
+        let core = self.cores()[self.busiest_core()];
+        let inter = LinkConfig::with_delay(self.spec.peer_delay);
+        let t0 = self.sim.now() + Duration::from_secs(1);
+        let t1 = t0 + c.flap_len;
+        let plan = FaultPlanBuilder::new(c.fault_seed)
+            .window_jitter(Duration::from_millis(50))
+            .flap(self.auth, core, inter, t0, t1)
+            .build();
+        self.drive_segmented(&plan, t0 + c.flap_len / 2, octet, t1 + c.settle);
+    }
+
+    /// **Drill 2 — region partition.** Cuts every link into the drill's
+    /// `partition_region` (origin uplink + all core peer links;
+    /// intra-region links stay up) for `partition_len`, pushing one round
+    /// mid-partition. The isolated region drains completely on reunion.
+    pub fn partition_drill(&mut self, octet: u8) {
+        let c = self.drill();
+        let r = c.partition_region.min(self.spec.regions() - 1);
+        let core = self.cores()[r];
+        let inter = LinkConfig::with_delay(self.spec.peer_delay);
+        let mut cut = vec![(self.auth, core, inter)];
+        for (o, &peer) in self.cores().iter().enumerate() {
+            if o != r {
+                cut.push((peer, core, inter));
             }
-            out.push(tier);
         }
-        out
+        let t0 = self.sim.now() + Duration::from_secs(1);
+        let t1 = t0 + c.partition_len;
+        let plan = FaultPlanBuilder::new(c.fault_seed ^ 0x2)
+            .window_jitter(Duration::from_millis(50))
+            .partition(&cut, t0, t1)
+            .build();
+        self.drive_segmented(&plan, t0 + c.partition_len / 2, octet, t1 + c.settle);
+    }
+
+    /// **Drill 3 — edge crash/restart.** Crashes the chaos edge
+    /// (CONNECTION_CLOSE to every peer, then dark) for `edge_downtime`,
+    /// pushing one round mid-downtime (the cohort is disconnected and must
+    /// *not* receive it as a push — the rejoin fetch brings it current
+    /// instead), restarting it, and settling long enough for every cohort
+    /// stub to redial, re-handshake and resubscribe. Then pushes a
+    /// post-recovery round that must reach the whole cohort.
+    pub fn crash_drill(&mut self, mid_octet: u8, post_octet: u8) {
+        let c = self.drill();
+        let edge = self.chaos_edge.expect("chaos world has a chaos edge");
+        let t0 = self.sim.now() + Duration::from_secs(1);
+        let t1 = t0 + c.edge_downtime;
+        let plan = FaultPlanBuilder::new(c.fault_seed ^ 0x3)
+            .crash(edge, t0)
+            .restart(edge, t1)
+            .build();
+        // Reconnect slack: a redial can land just before the restart and
+        // only complete on a capped PTO retransmit of its ClientHello —
+        // give the stragglers one idle-timeout cycle plus settle.
+        let end = t1 + c.stub_idle + c.stub_redial + c.settle;
+        self.drive_segmented(&plan, t0 + c.edge_downtime / 2, mid_octet, end);
+        self.push_round(post_octet);
+        self.sim.run_for(c.settle);
+    }
+
+    /// Drives `plan` to `mid`, pushes one update round, then drives it to
+    /// `end`. The second segment re-applies the plan's already-applied
+    /// prefix — safe: set-link events are idempotent config writes and
+    /// [`apply_relay_fault`] guards crash/restart on the relay's state.
+    fn drive_segmented(&mut self, plan: &FaultPlan, mid: SimTime, octet: u8, end: SimTime) {
+        run_plan(&mut self.sim, plan, mid, apply_relay_fault);
+        self.push_round(octet);
+        run_plan(&mut self.sim, plan, end, apply_relay_fault);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every preset builds at smoke scale with the node counts its spec
+    /// derives, and every resident (and chaos-cohort) joining fetch is
+    /// answered.
+    #[test]
+    fn every_preset_builds_with_its_derived_counts() {
+        for spec in [
+            RelayTreeSpec::ddns_tree(),
+            RelayTreeSpec::cdn_tree(),
+            RelayTreeSpec::mesh(),
+            RelayTreeSpec::federation(),
+            RelayTreeSpec::metro(),
+            RelayTreeSpec::planet(),
+            RelayTreeSpec::chaos(),
+            RelayTreeSpec::adversarial(),
+            RelayTreeSpec::chain(),
+            RelayTreeSpec::ddns(),
+            RelayTreeSpec::relay_fanout(5, true),
+            RelayTreeSpec::relay_fanout(5, false),
+        ] {
+            let spec = spec.smoke();
+            let w = RelayWorld::build(&spec, 7, 0);
+            let name = spec.name;
+            assert_eq!(w.topo.tier_named(spec.auth.name), [w.auth], "{name}");
+            for (tier, ids) in spec.relays.iter().zip(&w.relays) {
+                assert_eq!(w.topo.tier_named(&tier.name), ids.as_slice(), "{name}");
+                assert_eq!(ids.len(), tier.count, "{name}: {}", tier.name);
+            }
+            assert_eq!(w.stubs.len(), spec.stub_count(), "{name}");
+            assert_eq!(w.fetched_total(), spec.subscription_count(), "{name}");
+            let cohort = spec.chaos.map_or(0, |c| c.stubs);
+            assert_eq!(w.chaos_stubs.len(), cohort, "{name}");
+            assert_eq!(
+                w.chaos_fetched(),
+                spec.cohort_subscriptions(cohort),
+                "{name}"
+            );
+        }
     }
 }

@@ -9,10 +9,8 @@
 //! scheduler keys, so the merged event history is the same history the
 //! global scheduler would have produced.
 
-use moqdns_bench::worlds::{ChaosWorld, FederationWorld, MetroWorld, PlanetWorld, SimHandle};
-use moqdns_workload::scenarios::{
-    ChaosScenario, FederationScenario, MetroScenario, PlanetScenario,
-};
+use moqdns_bench::worlds::{RelayWorld, SimHandle};
+use moqdns_workload::scenarios::RelayTreeSpec;
 
 /// Everything we compare between a single-threaded and a sharded run.
 #[derive(Debug, PartialEq, Eq)]
@@ -26,8 +24,8 @@ struct Observed {
 }
 
 fn run_federation(workers: usize) -> Observed {
-    let spec = FederationScenario::federation().smoke();
-    let mut w = FederationWorld::build_with_workers(&spec, 7, workers);
+    let spec = RelayTreeSpec::federation().smoke();
+    let mut w = RelayWorld::build(&spec, 7, workers);
     // The digest is enabled post-settle in every variant, so it covers
     // the same (dynamic) phase of the run: three update rounds plus an
     // origin kill and a late joiner.
@@ -48,8 +46,8 @@ fn run_federation(workers: usize) -> Observed {
 }
 
 fn run_metro(workers: usize) -> Observed {
-    let spec = MetroScenario::metro().smoke();
-    let mut w = MetroWorld::build_with_workers(&spec, 7, workers);
+    let spec = RelayTreeSpec::metro().smoke();
+    let mut w = RelayWorld::build(&spec, 7, workers);
     w.sim.enable_delivery_digest();
     w.update_round(10);
     w.update_round(20);
@@ -90,20 +88,20 @@ fn metro_parallel_matches_single() {
 /// end-to-end pin that faults applied at barriers plus per-link loss
 /// draws keep the sharded event history bit-identical.
 fn run_chaos(workers: usize) -> (Observed, u64, u64) {
-    let spec = ChaosScenario::chaos().smoke();
-    let mut w = ChaosWorld::build_with_workers(&spec, 7, workers);
-    w.metro.sim.enable_delivery_digest();
-    w.metro.update_round(10);
+    let spec = RelayTreeSpec::chaos().smoke();
+    let mut w = RelayWorld::build(&spec, 7, workers);
+    w.sim.enable_delivery_digest();
+    w.update_round(10);
     w.flap_drill(30);
     w.partition_drill(50);
     w.crash_drill(70, 90);
     let obs = Observed {
-        delivered_updates: w.metro.delivered_updates() + w.chaos_delivered(),
-        fetched_or_cores: w.metro.fetched_total() + w.chaos_fetched(),
-        total_datagrams: w.metro.sim.stats().total_datagrams(),
-        total_bytes: w.metro.sim.stats().total_bytes(),
-        digest: w.metro.sim.delivery_digest(),
-        now_nanos: w.metro.sim.now().as_nanos(),
+        delivered_updates: w.delivered_updates() + w.chaos_delivered(),
+        fetched_or_cores: w.fetched_total() + w.chaos_fetched(),
+        total_datagrams: w.sim.stats().total_datagrams(),
+        total_bytes: w.sim.stats().total_bytes(),
+        digest: w.sim.delivery_digest(),
+        now_nanos: w.sim.now().as_nanos(),
     };
     (obs, w.chaos_redials().iter().sum(), w.total_regressions())
 }
@@ -124,8 +122,8 @@ fn chaos_drill_parallel_matches_single() {
 }
 
 fn run_planet(workers: usize) -> Observed {
-    let spec = PlanetScenario::planet().smoke();
-    let mut w = PlanetWorld::build_with_workers(&spec, 7, workers);
+    let spec = RelayTreeSpec::planet().smoke();
+    let mut w = RelayWorld::build(&spec, 7, workers);
     w.sim.enable_delivery_digest();
     // One resident round, then a full diurnal wave (dawn → midday round
     // → dusk) — the wave path adds nodes and closes connections mid-run,
@@ -163,11 +161,11 @@ fn worker_count_is_clamped_to_regions() {
     // Requesting more shards than regions must not leave empty shards
     // (an empty shard would register no cross-shard link and poison the
     // lookahead bound) — the builder clamps to the region count.
-    let spec = FederationScenario::federation().smoke();
-    let w = FederationWorld::build_with_workers(&spec, 7, 64);
-    assert_eq!(w.sim.workers(), spec.cores);
+    let spec = RelayTreeSpec::federation().smoke();
+    let w = RelayWorld::build(&spec, 7, 64);
+    assert_eq!(w.sim.workers(), spec.regions());
     match &w.sim {
-        SimHandle::Par(p) => assert_eq!(p.workers(), spec.cores),
+        SimHandle::Par(p) => assert_eq!(p.workers(), spec.regions()),
         SimHandle::Single(_) => panic!("expected the sharded variant"),
     }
 }

@@ -17,12 +17,12 @@
 //!   replayed by `moqdns-loadgen` against a real daemon over sockets;
 //! * [`scenarios`] — the §5.3 use-case parameter sets (DDNS, CDN, deep
 //!   space) with the paper's back-of-envelope arithmetic reproduced
-//!   exactly.
+//!   exactly, and [`scenarios::RelayTreeSpec`], the one declarative
+//!   relay-tree spec every simulated tree-family scenario is a preset of.
 //!
-//! **Substitution note (DESIGN.md §2):** the paper measured the live
-//! Internet from one vantage point; we regenerate the published
-//! distributions synthetically and run the same analysis pipeline over
-//! them.
+//! **Substitution note:** the paper measured the live Internet from one
+//! vantage point; we regenerate the published distributions
+//! synthetically and run the same analysis pipeline over them.
 
 pub mod churn;
 pub mod live;

@@ -1,9 +1,11 @@
 //! The §5.3 use-case parameter sets, with the paper's back-of-envelope
 //! arithmetic reproduced exactly (experiments E6–E8), plus
-//! [`TreeScenario`]: scaled-down versions of those worlds that run as
-//! *simulated* multi-relay distribution trees instead of closed-form
-//! arithmetic.
+//! [`RelayTreeSpec`]: one declarative description of every *simulated*
+//! relay tree (auth → relay tiers → stubs) the gated scenarios run, with
+//! one preset per scenario and every gate expectation derived from it.
 
+use crate::toplist::Toplist;
+use moqdns_dns::name::Name;
 use std::time::Duration;
 
 /// Dynamic DNS (paper §5.3, first scenario).
@@ -145,988 +147,174 @@ impl DeepSpaceScenario {
     }
 }
 
-/// A scaled-down §5.3 world instantiated on a real 3-tier relay tree
-/// (auth → tier-1 relays → edge relays → stubs) inside `netsim`.
-///
-/// The paper's 5.5 Gbps DDNS estimate and 240 kbps CDN estimate both rest
-/// on one structural assumption: relays aggregate subscriptions, so an
-/// update crosses each tree link **once** no matter how many subscribers
-/// sit below it. This scenario type carries the tree shape and update
-/// schedule; `moqdns-bench` builds the matching simulation and checks the
-/// measured per-link traffic against [`TreeScenario::copies_per_link`]
-/// (always 1) and the fan-out arithmetic below.
+/// How track `i` is named under the zone apex.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TrackNaming {
+    /// `r{i}.<apex>`.
+    Indexed,
+    /// One track, `<label>.<apex>`.
+    Label(&'static str),
+    /// Toplist rank order: track `i` takes the first label of toplist
+    /// rank `i + 1` (generated from the world seed).
+    Toplist,
+}
+
+/// Which tracks stub `j` subscribes to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Slicing {
+    /// Every stub subscribes to every track.
+    All,
+    /// The track space is cut into `per_stub`-track slices and stub `j`
+    /// takes slice `(j / edges) % slices`: consecutive stubs under one
+    /// edge walk consecutive slices, so every edge sees every slice when
+    /// it has at least `slices` stubs.
+    Walk {
+        /// Tracks per slice.
+        per_stub: usize,
+    },
+    /// Rank slices picked by Zipf quantile with exponent `s`: the head
+    /// slices hold most subscribers, tail slices thin out.
+    Zipf {
+        /// Tracks per slice.
+        per_stub: usize,
+        /// Zipf exponent (must match the toplist's).
+        s: f64,
+    },
+}
+
+/// How a relay tier picks its uplink per track.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RelayPolicy {
+    /// One parent: the round-robin primary in the tier above.
+    StaticParent,
+    /// Two parents (primary, then the next one round-robin) with
+    /// failover between them.
+    Failover,
+    /// Every relay of the tier above in aligned order, tracks hash-sharded
+    /// across them: uplink `i` names the same parent at every child.
+    HashShard,
+}
+
+/// The origin tier.
 #[derive(Debug, Clone, Copy)]
-pub struct TreeScenario {
-    /// Scenario label ("ddns-tree", "cdn-tree", …).
+pub struct AuthTier {
+    /// Tier (and node-name) label.
     pub name: &'static str,
-    /// Tier-1 relays attached to the authoritative server.
-    pub tier1_relays: usize,
-    /// Edge relays attached to each tier-1 relay.
-    pub edges_per_tier1: usize,
-    /// Stub subscribers attached to each edge relay.
-    pub stubs_per_edge: usize,
-    /// Distinct records (tracks); every stub subscribes to all of them.
-    pub tracks: usize,
-    /// Updates pushed per track during the measured window.
-    pub updates_per_track: u64,
-    /// Gap between update rounds.
-    pub update_interval: Duration,
-    /// One-way delay of every tree link.
-    pub link_delay: Duration,
+    /// Stack seed.
+    pub seed: u64,
+    /// Keep-alive of the hour-idle origin transport; `None` runs the
+    /// default transport.
+    pub keep_alive: Option<Duration>,
 }
 
-impl TreeScenario {
-    /// DDNS flavour (§5.3 first scenario, scaled down): few records with
-    /// a burst of address changes, fanned out through the tree.
-    pub fn ddns_tree() -> TreeScenario {
-        TreeScenario {
-            name: "ddns-tree",
-            tier1_relays: 2,
-            edges_per_tier1: 2,
-            stubs_per_edge: 16,
-            tracks: 2,
-            updates_per_track: 3,
-            update_interval: Duration::from_secs(5),
-            link_delay: Duration::from_millis(15),
-        }
-    }
-
-    /// CDN flavour (§5.3 second scenario, scaled down): more records on a
-    /// short-TTL update cadence.
-    pub fn cdn_tree() -> TreeScenario {
-        TreeScenario {
-            name: "cdn-tree",
-            tier1_relays: 2,
-            edges_per_tier1: 2,
-            stubs_per_edge: 8,
-            tracks: 8,
-            updates_per_track: 2,
-            update_interval: Duration::from_secs(10),
-            link_delay: Duration::from_millis(15),
-        }
-    }
-
-    /// A tiny variant for CI smoke runs.
-    pub fn smoke(self) -> TreeScenario {
-        TreeScenario {
-            stubs_per_edge: self.stubs_per_edge.min(2),
-            tracks: self.tracks.min(2),
-            updates_per_track: self.updates_per_track.min(2),
-            ..self
-        }
-    }
-
-    /// Total edge relays.
-    pub fn edge_relays(&self) -> usize {
-        self.tier1_relays * self.edges_per_tier1
-    }
-
-    /// Total relays across both tiers.
-    pub fn relay_count(&self) -> usize {
-        self.tier1_relays + self.edge_relays()
-    }
-
-    /// Total stub subscribers.
-    pub fn stub_count(&self) -> usize {
-        self.edge_relays() * self.stubs_per_edge
-    }
-
-    /// Updates pushed at the authoritative server over the whole run.
-    pub fn total_updates(&self) -> u64 {
-        self.updates_per_track * self.tracks as u64
-    }
-
-    /// §3 aggregation invariant: copies of one update crossing any single
-    /// upstream (auth→tier1 or tier1→edge) link. Relays aggregate, so
-    /// this is 1 — intermediate hops must not multiply delivered copies.
-    pub fn copies_per_link(&self) -> u64 {
-        1
-    }
-
-    /// Deliveries the run must produce: every stub sees every update of
-    /// every track exactly once.
-    pub fn expected_deliveries(&self) -> u64 {
-        self.total_updates() * self.stub_count() as u64
-    }
-
-    /// Copies of one update a *naive* (relay-free) deployment would send
-    /// from the authoritative server: one per stub. The tree sends
-    /// [`TreeScenario::tier1_relays`] instead; the ratio is the paper's
-    /// aggregation saving at the origin.
-    pub fn origin_saving(&self) -> f64 {
-        self.stub_count() as f64 / self.tier1_relays as f64
-    }
-
-    /// Update objects any single tier-1 relay forwards over the run:
-    /// its share of the tracks' updates, one copy per attached edge relay.
-    pub fn tier1_forwards(&self) -> u64 {
-        self.total_updates() * self.edges_per_tier1 as u64
-    }
-
-    /// Update objects any single edge relay forwards over the run.
-    pub fn edge_forwards(&self) -> u64 {
-        self.total_updates() * self.stubs_per_edge as u64
-    }
-}
-
-/// A multi-region hash-shard mesh instantiated on a real topology inside
-/// `netsim`: origin → core relays (one shard each) → per-region edge
-/// relays hash-sharding tracks across **all** cores → stubs.
-///
-/// Where [`TreeScenario`] pins the §3 one-copy-per-link invariant on a
-/// tree, this scenario pins three more of the paper's assumptions:
-///
-/// 1. sharding preserves aggregation — each update still crosses each
-///    upstream link at most once, summed per child exactly once;
-/// 2. a joining-fetch stampede is *coalesced* — concurrent same-track
-///    fetches produce one upstream fetch per relay per track, so the
-///    origin sees `tracks` fetches, not `stubs × tracks`;
-/// 3. shard recovery rebalances — killing a core re-routes its shard to
-///    surviving cores (ring walk) with zero loss, and reviving it makes
-///    every edge move the shard *back* with zero loss.
+/// Per-session abuse limits of a hardened relay tier.
 #[derive(Debug, Clone, Copy)]
-pub struct MeshScenario {
-    /// Scenario label.
-    pub name: &'static str,
-    /// Core relays (= hash shards) attached to the origin.
-    pub cores: usize,
-    /// Regions of edge relays.
-    pub regions: usize,
-    /// Edge relays per region (each attaches to all cores, aligned).
-    pub edges_per_region: usize,
-    /// Stub subscribers per edge relay.
-    pub stubs_per_edge: usize,
-    /// Distinct records (tracks); every stub subscribes to all of them.
-    pub tracks: usize,
-    /// Updates pushed per track during each measured round.
-    pub updates_per_track: u64,
-    /// Gap between update rounds.
-    pub update_interval: Duration,
-    /// One-way delay of every link.
-    pub link_delay: Duration,
-}
-
-impl MeshScenario {
-    /// The standing multi-region mesh drill.
-    pub fn mesh() -> MeshScenario {
-        MeshScenario {
-            name: "mesh",
-            cores: 3,
-            regions: 3,
-            edges_per_region: 2,
-            stubs_per_edge: 8,
-            tracks: 6,
-            updates_per_track: 3,
-            update_interval: Duration::from_secs(5),
-            link_delay: Duration::from_millis(15),
-        }
-    }
-
-    /// A tiny variant for CI smoke runs (shape preserved, volume shrunk).
-    pub fn smoke(self) -> MeshScenario {
-        MeshScenario {
-            regions: self.regions.min(2),
-            stubs_per_edge: self.stubs_per_edge.min(2),
-            tracks: self.tracks.min(4),
-            updates_per_track: self.updates_per_track.min(2),
-            ..self
-        }
-    }
-
-    /// Total edge relays across all regions.
-    pub fn edge_count(&self) -> usize {
-        self.regions * self.edges_per_region
-    }
-
-    /// Total stub subscribers.
-    pub fn stub_count(&self) -> usize {
-        self.edge_count() * self.stubs_per_edge
-    }
-
-    /// Updates pushed at the origin per round.
-    pub fn total_updates(&self) -> u64 {
-        self.updates_per_track * self.tracks as u64
-    }
-
-    /// Deliveries one update round must produce: every stub sees every
-    /// update of every track exactly once.
-    pub fn expected_deliveries(&self) -> u64 {
-        self.total_updates() * self.stub_count() as u64
-    }
-
-    /// §3 aggregation under sharding: copies of one update crossing any
-    /// single upstream link (origin→core, or the one core→edge link the
-    /// track's shard selects). Always 1.
-    pub fn copies_per_link(&self) -> u64 {
-        1
-    }
-
-    /// Upstream fetches one edge relay may open under a joining-fetch
-    /// stampede: one per track, however many stubs join at once.
-    pub fn edge_fetch_bound(&self) -> u64 {
-        self.tracks as u64
-    }
-
-    /// Upstream fetches the whole core tier may open under the stampede:
-    /// one per track system-wide (each track has exactly one home core,
-    /// which coalesces every edge's fetch).
-    pub fn core_tier_fetch_bound(&self) -> u64 {
-        self.tracks as u64
-    }
-
-    /// Fetches a naive (non-coalescing) deployment would escalate from
-    /// the edge tier during the stampede: one per stub per track.
-    pub fn naive_edge_fetches(&self) -> u64 {
-        self.stub_count() as u64 * self.tracks as u64
-    }
-}
-
-/// A cross-region **core federation** instantiated on a real topology:
-/// origin → K regional cores (one hash shard each, full-mesh peer links
-/// between them) → region-local edge relays → stubs.
-///
-/// Where [`MeshScenario`] lets every edge attach to every core (so shard
-/// routing happens at the edges), a federation keeps edges *regional* —
-/// each edge attaches only to its region's core — and moves the shard
-/// routing into the core tier: a core serves tracks homed on a *peer*
-/// core by subscribing/fetching over the peer link to that core, never
-/// via the origin. The invariants this pins:
-///
-/// 1. **origin offload** — during a full-join stampede the origin sees
-///    exactly one fetch per track (from its home core); every non-home
-///    core fetches the track from its home peer exactly once, however
-///    many regional edges stampede;
-/// 2. **one copy per link under federation** — an update leaves the
-///    origin once (to the home core) and crosses each home→peer core
-///    link once, regardless of per-region subscriber counts;
-/// 3. **origin independence** — after the origin dies, every
-///    already-published track remains fully servable region-to-region
-///    from the core tier's caches and peer subscriptions, with zero loss.
-#[derive(Debug, Clone, Copy)]
-pub struct FederationScenario {
-    /// Scenario label.
-    pub name: &'static str,
-    /// Federated cores (= regions = hash shards).
-    pub cores: usize,
-    /// Edge relays per region (each attaches only to its region's core).
-    pub edges_per_region: usize,
-    /// Stub subscribers per edge relay.
-    pub stubs_per_edge: usize,
-    /// Distinct records (tracks); every stub subscribes to all of them.
-    pub tracks: usize,
-    /// Updates pushed per track during each measured round.
-    pub updates_per_track: u64,
-    /// Gap between update rounds.
-    pub update_interval: Duration,
-    /// One-way delay of intra-region links (core→edge, edge→stub).
-    pub link_delay: Duration,
-    /// One-way delay of inter-region links (origin→core, core↔core) —
-    /// deliberately slower so the latency asymmetry shows in results.
-    pub peer_delay: Duration,
-}
-
-impl FederationScenario {
-    /// The standing cross-region federation drill.
-    pub fn federation() -> FederationScenario {
-        FederationScenario {
-            name: "federation",
-            cores: 3,
-            edges_per_region: 2,
-            stubs_per_edge: 4,
-            tracks: 6,
-            updates_per_track: 3,
-            update_interval: Duration::from_secs(5),
-            link_delay: Duration::from_millis(10),
-            peer_delay: Duration::from_millis(40),
-        }
-    }
-
-    /// A tiny variant for CI smoke runs (shape preserved, volume shrunk;
-    /// the core count stays put so the shard map is unchanged).
-    pub fn smoke(self) -> FederationScenario {
-        FederationScenario {
-            stubs_per_edge: self.stubs_per_edge.min(2),
-            tracks: self.tracks.min(4),
-            updates_per_track: self.updates_per_track.min(2),
-            ..self
-        }
-    }
-
-    /// Total edge relays across all regions.
-    pub fn edge_count(&self) -> usize {
-        self.cores * self.edges_per_region
-    }
-
-    /// Total stub subscribers.
-    pub fn stub_count(&self) -> usize {
-        self.edge_count() * self.stubs_per_edge
-    }
-
-    /// Updates pushed at the origin per round.
-    pub fn total_updates(&self) -> u64 {
-        self.updates_per_track * self.tracks as u64
-    }
-
-    /// Deliveries one update round must produce: every stub sees every
-    /// update of every track exactly once.
-    pub fn expected_deliveries(&self) -> u64 {
-        self.total_updates() * self.stub_count() as u64
-    }
-
-    /// Peer fetches the whole core tier opens during the stampede: each
-    /// of the K cores fetches every track *not* homed on it from the home
-    /// peer, exactly once.
-    pub fn peer_fetch_total(&self) -> u64 {
-        (self.cores as u64 - 1) * self.tracks as u64
-    }
-
-    /// Fetches the origin sees during the stampede: one per track, from
-    /// its home core only.
-    pub fn origin_fetch_bound(&self) -> u64 {
-        self.tracks as u64
-    }
-
-    /// Fetches the origin would see if the regional cores were *not*
-    /// federated (every core escalates every regional miss): one per
-    /// core per track.
-    pub fn naive_origin_fetches(&self) -> u64 {
-        self.cores as u64 * self.tracks as u64
-    }
-
-    /// Origin offload of the stampede as a percentage: the share of
-    /// would-be origin fetches served core-to-core instead.
-    pub fn offload_percent(&self) -> u64 {
-        100 * self.peer_fetch_total() / self.naive_origin_fetches()
-    }
-}
-
-/// A **metro-scale** cross-region federation: the [`FederationScenario`]
-/// shape grown two orders of magnitude past anything else in the CI
-/// matrix — 1 origin → K federated cores (full-mesh peer links, one hash
-/// shard each) → K regions of region-local edges → **~10,000 stubs**
-/// subscribing across **~64 tracks**.
-///
-/// At this scale no stub subscribes to *every* track (a metro population
-/// doesn't): the track space is cut into `tracks / tracks_per_stub`
-/// equal **slices** and stub `j` takes slice `(j / edge_count) %
-/// slices`, so consecutive stubs under one edge walk all slices and
-/// every edge still aggregates demand for the *full* track set
-/// (guaranteed whenever `stubs_per_edge >= slices`, asserted at build).
-/// That keeps every federation invariant meaningful at scale:
-///
-/// 1. **stampede coalescing** — ~10k stubs' joining fetches collapse to
-///    exactly `tracks` upstream fetches per edge, `tracks` fetches at
-///    the origin system-wide;
-/// 2. **one copy per link** — an update still crosses origin→home-core
-///    and each home→peer core link exactly once, with ~10k subscribers
-///    below;
-/// 3. **origin independence** — killing the origin leaves every
-///    published track servable region-to-region, proven by cold edges +
-///    stubs joining in every region with zero loss.
-///
-/// The scenario exists to measure the *simulator* as much as the
-/// protocol: its full-size run is the wall-clock benchmark the sim
-/// data-plane (zero-copy delivery, timing-wheel scheduler) is graded on.
-#[derive(Debug, Clone, Copy)]
-pub struct MetroScenario {
-    /// Scenario label.
-    pub name: &'static str,
-    /// Federated cores (= regions = hash shards).
-    pub cores: usize,
-    /// Edge relays per region (each attaches only to its region's core).
-    pub edges_per_region: usize,
-    /// Stub subscribers per edge relay.
-    pub stubs_per_edge: usize,
-    /// Distinct records (tracks) across the whole metro.
-    pub tracks: usize,
-    /// Tracks each stub subscribes to (one contiguous slice).
-    pub tracks_per_stub: usize,
-    /// Updates pushed per track during each measured round.
-    pub updates_per_track: u64,
-    /// Gap between update rounds.
-    pub update_interval: Duration,
-    /// One-way delay of intra-region links (core→edge, edge→stub).
-    pub link_delay: Duration,
-    /// One-way delay of inter-region links (origin→core, core↔core).
-    pub peer_delay: Duration,
-}
-
-impl MetroScenario {
-    /// The standing metro drill: 3 regions × 4 edges × 833 stubs =
-    /// 9,996 subscribers over 64 tracks (8 per stub).
-    pub fn metro() -> MetroScenario {
-        MetroScenario {
-            name: "metro",
-            cores: 3,
-            edges_per_region: 4,
-            stubs_per_edge: 833,
-            tracks: 64,
-            tracks_per_stub: 8,
-            updates_per_track: 2,
-            update_interval: Duration::from_secs(2),
-            link_delay: Duration::from_millis(5),
-            peer_delay: Duration::from_millis(30),
-        }
-    }
-
-    /// A tiny variant for CI smoke runs: the federation shape and the
-    /// slice machinery are preserved (cores and slice count stay put),
-    /// only the population shrinks.
-    pub fn smoke(self) -> MetroScenario {
-        MetroScenario {
-            edges_per_region: self.edges_per_region.min(2),
-            stubs_per_edge: self.stubs_per_edge.min(8),
-            tracks: self.tracks.min(16),
-            tracks_per_stub: self.tracks_per_stub.min(2),
-            ..self
-        }
-    }
-
-    /// Distinct track slices (`tracks / tracks_per_stub`; the division
-    /// must be exact).
-    pub fn slices(&self) -> usize {
-        assert!(
-            self.tracks_per_stub > 0 && self.tracks.is_multiple_of(self.tracks_per_stub),
-            "tracks_per_stub must divide tracks"
-        );
-        self.tracks / self.tracks_per_stub
-    }
-
-    /// The slice stub `j` (global index) subscribes to. Consecutive
-    /// stubs under one edge (they sit `edge_count` apart in the global
-    /// order) walk consecutive slices, so every edge sees every slice.
-    pub fn slice_of_stub(&self, j: usize) -> usize {
-        (j / self.edge_count()) % self.slices()
-    }
-
-    /// The track indices of slice `s`.
-    pub fn slice_tracks(&self, s: usize) -> std::ops::Range<usize> {
-        s * self.tracks_per_stub..(s + 1) * self.tracks_per_stub
-    }
-
-    /// Total edge relays across all regions.
-    pub fn edge_count(&self) -> usize {
-        self.cores * self.edges_per_region
-    }
-
-    /// Total stub subscribers.
-    pub fn stub_count(&self) -> usize {
-        self.edge_count() * self.stubs_per_edge
-    }
-
-    /// Total (stub, track) subscriptions — also the joining-fetch
-    /// stampede size and the deliveries per update round.
-    pub fn subscription_count(&self) -> u64 {
-        self.stub_count() as u64 * self.tracks_per_stub as u64
-    }
-
-    /// Updates pushed at the origin per round.
-    pub fn total_updates(&self) -> u64 {
-        self.updates_per_track * self.tracks as u64
-    }
-
-    /// Deliveries the measured rounds must produce: every stub sees
-    /// every update of every track it subscribes to, exactly once.
-    pub fn expected_deliveries(&self) -> u64 {
-        self.updates_per_track * self.subscription_count()
-    }
-
-    /// Upstream fetches one edge relay opens under the stampede: one per
-    /// track (all slices are present under every edge), however many
-    /// hundreds of stubs join at once.
-    pub fn edge_fetch_bound(&self) -> u64 {
-        self.tracks as u64
-    }
-
-    /// Fetches the origin sees during the stampede: one per track, from
-    /// its home core only — the federation origin-offload invariant,
-    /// unchanged at metro scale.
-    pub fn origin_fetch_bound(&self) -> u64 {
-        self.tracks as u64
-    }
-
-    /// The naive stampede the coalescing machinery absorbs: one fetch
-    /// per (stub, track) subscription.
-    pub fn naive_fetches(&self) -> u64 {
-        self.subscription_count()
-    }
-}
-
-/// A **planet-scale** federation: the [`MetroScenario`] shape grown one
-/// more order of magnitude — dozens of regions, **~100,000 stubs** — with
-/// two workload dimensions the metro deliberately leaves flat:
-///
-/// 1. **Zipf popularity** (from `workload::toplist`): the track space is
-///    cut into slices as in the metro, but stub `j` picks its slice by a
-///    Zipf quantile over track rank instead of a uniform walk, so slice 0
-///    (the top-ranked records) holds the majority of subscribers and the
-///    tail slices thin out — some edges never see them at all. Every
-///    expectation is therefore *computed* from [`slice_of_stub`], never
-///    assumed: the per-edge fetch bound sums the slices actually present
-///    under each edge.
-/// 2. **diurnal join/leave waves**: transient cohorts join every edge,
-///    subscribe Zipf-popular slices, receive a round, and leave (their
-///    connections close). The invariants: wave joining fetches are all
-///    answered (zero loss from caches/aggregation), deliveries stay exact
-///    for residents *and* waves, departed stubs receive nothing further,
-///    and the edge tier's session state returns to its pre-wave size.
-///
-/// Everything is a pure function of the spec, so the scenario stays
-/// machine-checkable at 100k scale and bit-identical between the
-/// single-threaded and sharded ([`ParSim`]-backed) simulator builds.
-///
-/// [`slice_of_stub`]: PlanetScenario::slice_of_stub
-/// [`ParSim`]: ../../moqdns_netsim/par/index.html
-#[derive(Debug, Clone, Copy)]
-pub struct PlanetScenario {
-    /// Scenario label.
-    pub name: &'static str,
-    /// Federated cores (= regions = hash shards). "Dozens."
-    pub cores: usize,
-    /// Edge relays per region (each attaches only to its region's core).
-    pub edges_per_region: usize,
-    /// Resident stub subscribers per edge relay.
-    pub stubs_per_edge: usize,
-    /// Distinct records (tracks), rank-ordered: track 0 is the most
-    /// popular (toplist rank 1).
-    pub tracks: usize,
-    /// Tracks each stub subscribes to (one contiguous rank slice).
-    pub tracks_per_stub: usize,
-    /// Zipf exponent for popularity (matches `Toplist::zipf_exponent`).
-    pub zipf_s: f64,
-    /// Diurnal waves: transient cohorts that join, stay a round, leave.
-    pub waves: usize,
-    /// Transient stubs each wave adds under every edge.
-    pub wave_stubs_per_edge: usize,
-    /// Updates pushed per track during each measured round.
-    pub updates_per_track: u64,
-    /// Gap between update rounds.
-    pub update_interval: Duration,
-    /// One-way delay of intra-region links (core→edge, edge→stub).
-    pub link_delay: Duration,
-    /// One-way delay of inter-region links (origin→core, core↔core).
-    pub peer_delay: Duration,
-}
-
-impl PlanetScenario {
-    /// The standing planet drill: 24 regions × 8 edges × 521 stubs =
-    /// 100,032 resident subscribers over 96 tracks (8 per stub), plus
-    /// 2 diurnal waves of 24×8×16 = 3,072 transient stubs each.
-    pub fn planet() -> PlanetScenario {
-        PlanetScenario {
-            name: "planet",
-            cores: 24,
-            edges_per_region: 8,
-            stubs_per_edge: 521,
-            tracks: 96,
-            tracks_per_stub: 8,
-            zipf_s: 1.0,
-            waves: 2,
-            wave_stubs_per_edge: 16,
-            updates_per_track: 2,
-            update_interval: Duration::from_secs(2),
-            link_delay: Duration::from_millis(5),
-            peer_delay: Duration::from_millis(30),
-        }
-    }
-
-    /// A tiny variant for CI smoke runs. The *shape* is the point and is
-    /// preserved: still 24 regions (the planet's "dozens"), still 12
-    /// slices, still 2 waves — only the population shrinks.
-    pub fn smoke(self) -> PlanetScenario {
-        PlanetScenario {
-            edges_per_region: 1,
-            stubs_per_edge: self.stubs_per_edge.min(12),
-            tracks: self.tracks.min(24),
-            tracks_per_stub: self.tracks_per_stub.min(2),
-            wave_stubs_per_edge: self.wave_stubs_per_edge.min(2),
-            ..self
-        }
-    }
-
-    /// Distinct track slices (`tracks / tracks_per_stub`; exact).
-    pub fn slices(&self) -> usize {
-        assert!(
-            self.tracks_per_stub > 0 && self.tracks.is_multiple_of(self.tracks_per_stub),
-            "tracks_per_stub must divide tracks"
-        );
-        self.tracks / self.tracks_per_stub
-    }
-
-    /// The track indices of slice `s`.
-    pub fn slice_tracks(&self, s: usize) -> std::ops::Range<usize> {
-        s * self.tracks_per_stub..(s + 1) * self.tracks_per_stub
-    }
-
-    /// Cumulative Zipf weight per slice: `cum[s]` sums `1/rank^s` over
-    /// every track of slices `0..=s` (track `t` has rank `t + 1`).
-    fn slice_cum(&self) -> Vec<f64> {
-        let mut cum = Vec::with_capacity(self.slices());
-        let mut acc = 0.0;
-        for s in 0..self.slices() {
-            for t in self.slice_tracks(s) {
-                acc += 1.0 / ((t + 1) as f64).powf(self.zipf_s);
-            }
-            cum.push(acc);
-        }
-        cum
-    }
-
-    /// The slice at popularity quantile `u ∈ [0, 1)`: low `u` lands on
-    /// the head slices, which hold most of the Zipf mass.
-    pub fn slice_at_quantile(&self, u: f64) -> usize {
-        let cum = self.slice_cum();
-        let total = *cum.last().expect("at least one slice");
-        cum.partition_point(|w| *w <= u * total)
-            .min(self.slices() - 1)
-    }
-
-    /// The slice resident stub `j` (global index) subscribes to: stubs
-    /// are spread evenly over the popularity quantile axis, so slice
-    /// populations follow the Zipf weights. A pure function of `j`, so
-    /// every subscriber-count expectation below is computable.
-    pub fn slice_of_stub(&self, j: usize) -> usize {
-        self.slice_at_quantile((j as f64 + 0.5) / self.stub_count() as f64)
-    }
-
-    /// The slice the `i`-th transient stub of a wave subscribes to (the
-    /// same per-edge cohort shape for every wave and edge).
-    pub fn wave_slice_of(&self, i: usize) -> usize {
-        self.slice_at_quantile((i as f64 + 0.5) / self.wave_stubs_per_edge as f64)
-    }
-
-    /// Total edge relays across all regions.
-    pub fn edge_count(&self) -> usize {
-        self.cores * self.edges_per_region
-    }
-
-    /// The region edge `j` serves (the builder wires edge `j`'s parent
-    /// round-robin: core `j % cores`).
-    pub fn region_of_edge(&self, j: usize) -> usize {
-        j % self.cores
-    }
-
-    /// Total resident stub subscribers.
-    pub fn stub_count(&self) -> usize {
-        self.edge_count() * self.stubs_per_edge
-    }
-
-    /// Total resident (stub, track) subscriptions — the joining-fetch
-    /// stampede size and the per-round resident delivery count.
-    pub fn subscription_count(&self) -> u64 {
-        self.stub_count() as u64 * self.tracks_per_stub as u64
-    }
-
-    /// Resident stubs subscribed to slice `s`.
-    pub fn slice_population(&self, s: usize) -> usize {
-        (0..self.stub_count())
-            .filter(|&j| self.slice_of_stub(j) == s)
-            .count()
-    }
-
-    /// Which slices are present under edge `e` (resident population):
-    /// `present[s]` is true when some resident stub of edge `e`
-    /// subscribes slice `s`. Zipf-tail slices are absent under many
-    /// edges — that is the point.
-    pub fn slices_under_edge(&self, e: usize) -> Vec<bool> {
-        let mut present = vec![false; self.slices()];
-        let ec = self.edge_count();
-        for l in 0..self.stubs_per_edge {
-            present[self.slice_of_stub(e + l * ec)] = true;
-        }
-        present
-    }
-
-    /// Which slices a wave cohort subscribes (identical for every edge).
-    pub fn wave_slices(&self) -> Vec<bool> {
-        let mut present = vec![false; self.slices()];
-        for i in 0..self.wave_stubs_per_edge {
-            present[self.wave_slice_of(i)] = true;
-        }
-        present
-    }
-
-    /// Which slices are demanded in region `r` (union over its edges).
-    pub fn region_slices(&self, r: usize) -> Vec<bool> {
-        let mut present = vec![false; self.slices()];
-        for j in 0..self.edge_count() {
-            if self.region_of_edge(j) == r {
-                for (s, &p) in self.slices_under_edge(j).iter().enumerate() {
-                    present[s] |= p;
-                }
-            }
-        }
-        present
-    }
-
-    /// Which tracks are demanded in region `r`.
-    pub fn region_tracks(&self, r: usize) -> Vec<bool> {
-        let mut present = vec![false; self.tracks];
-        for (s, &p) in self.region_slices(r).iter().enumerate() {
-            if p {
-                for t in self.slice_tracks(s) {
-                    present[t] = true;
-                }
-            }
-        }
-        present
-    }
-
-    /// Which tracks are demanded *anywhere* (some region wants them).
-    pub fn demanded_tracks(&self) -> Vec<bool> {
-        let mut present = vec![false; self.tracks];
-        for r in 0..self.cores {
-            for (t, &p) in self.region_tracks(r).iter().enumerate() {
-                present[t] |= p;
-            }
-        }
-        present
-    }
-
-    /// Upstream fetches the whole edge tier opens under the resident
-    /// stampede: each edge fetches one per track of each slice actually
-    /// present under it (coalescing makes it independent of population).
-    pub fn edge_fetch_total(&self) -> u64 {
-        (0..self.edge_count())
-            .map(|e| {
-                let n = self.slices_under_edge(e).iter().filter(|&&p| p).count();
-                (n * self.tracks_per_stub) as u64
-            })
-            .sum()
-    }
-
-    /// Extra upstream fetches the edge tier opens when a wave joins:
-    /// only slices the wave demands that the edge's residents do *not*
-    /// cover need a fetch; everything else is served from the edge.
-    pub fn wave_edge_fetch_delta(&self) -> u64 {
-        let wave = self.wave_slices();
-        (0..self.edge_count())
-            .map(|e| {
-                let under = self.slices_under_edge(e);
-                let novel = wave.iter().zip(&under).filter(|&(&w, &u)| w && !u).count();
-                (novel * self.tracks_per_stub) as u64
-            })
-            .sum()
-    }
-
-    /// Transient (stub, track) subscriptions one wave adds system-wide.
-    pub fn wave_subscription_count(&self) -> u64 {
-        (self.edge_count() * self.wave_stubs_per_edge * self.tracks_per_stub) as u64
-    }
-
-    /// Updates pushed at the origin per round.
-    pub fn total_updates(&self) -> u64 {
-        self.updates_per_track * self.tracks as u64
-    }
-
-    /// Resident deliveries the measured rounds must produce.
-    pub fn expected_deliveries(&self) -> u64 {
-        self.updates_per_track * self.subscription_count()
-    }
-
-    /// The naive stampede the coalescing machinery absorbs.
-    pub fn naive_fetches(&self) -> u64 {
-        self.subscription_count()
-    }
-}
-
-/// The paper's depth-D relay chain ("involving 5 MoQ relays on average",
-/// §5.3) as a standing drill: origin → `hops` single-relay tiers →
-/// stubs, built by `TopoBuilder::chain`. Pins that aggregation holds at
-/// *every* depth: one upstream fetch per track per hop under a joining
-/// stampede, one copy of each update per hop link, complete delivery.
-#[derive(Debug, Clone, Copy)]
-pub struct ChainScenario {
-    /// Scenario label.
-    pub name: &'static str,
-    /// Relay hops between origin and stubs.
-    pub hops: usize,
-    /// Stub subscribers attached to the last hop.
-    pub stubs: usize,
-    /// Distinct records (tracks); every stub subscribes to all of them.
-    pub tracks: usize,
-    /// Updates pushed per track during the measured window.
-    pub updates_per_track: u64,
-    /// One-way delay of every link.
-    pub link_delay: Duration,
-}
-
-impl ChainScenario {
-    /// The standing depth-5 chain (the paper's average path length).
-    pub fn chain() -> ChainScenario {
-        ChainScenario {
-            name: "chain",
-            hops: 5,
-            stubs: 8,
-            tracks: 4,
-            updates_per_track: 3,
-            link_delay: Duration::from_millis(10),
-        }
-    }
-
-    /// A tiny variant for CI smoke runs — the depth is the point, so
-    /// only the fan-in shrinks.
-    pub fn smoke(self) -> ChainScenario {
-        ChainScenario {
-            stubs: self.stubs.min(3),
-            tracks: self.tracks.min(2),
-            updates_per_track: self.updates_per_track.min(2),
-            ..self
-        }
-    }
-
-    /// Updates pushed at the origin over the whole run.
-    pub fn total_updates(&self) -> u64 {
-        self.updates_per_track * self.tracks as u64
-    }
-
-    /// Deliveries the run must produce.
-    pub fn expected_deliveries(&self) -> u64 {
-        self.total_updates() * self.stubs as u64
-    }
-
-    /// §3 aggregation at depth: copies of one update crossing any single
-    /// hop link. Always 1 — depth must not multiply copies.
-    pub fn copies_per_link(&self) -> u64 {
-        1
-    }
-}
-
-/// The protocol-hardening drill (ISSUE 6): a small honest tree — origin →
-/// core relay → edge relays → stubs — that must keep perfect delivery
-/// while three attackers hang off one edge relay:
-///
-/// - a **byzantine** client feeding the edge garbage control bytes,
-///   bogus-alias datagrams, and duplicate request ids (the session state
-///   machine must poison + close, counting violations);
-/// - a **slow-loris** subscriber that subscribes to every track and then
-///   never drains (the per-session backlog bound must evict it);
-/// - a **fetch bomber** stampeding cold tracks (the per-session fetch
-///   budget must throttle and finally evict it).
-///
-/// The survival invariants the binary gates: honest stubs see every
-/// update of every track (zero loss under attack), the attacked edge's
-/// session state stays bounded (evictions actually reclaim), and each
-/// attack leaves its fingerprint in the hardening counters
-/// (`violations`, `dropped_datagrams`, `throttled_fetches`,
-/// `evicted_sessions`) rather than in honest-path metrics.
-#[derive(Debug, Clone, Copy)]
-pub struct AdversarialScenario {
-    /// Scenario label.
-    pub name: &'static str,
-    /// Edge relays under the core (attackers target the first).
-    pub edges: usize,
-    /// Honest stub subscribers per edge relay.
-    pub stubs_per_edge: usize,
-    /// Distinct records (tracks); every honest stub subscribes to all.
-    pub tracks: usize,
-    /// Update rounds pushed per track during the attack window.
-    pub updates_per_track: u64,
-    /// Gap between update rounds.
-    pub update_interval: Duration,
-    /// One-way delay of every link.
-    pub link_delay: Duration,
-    /// Attack cadence (byzantine + fetch-bomb tick).
-    pub attack_interval: Duration,
-    /// Standalone cold-track FETCHes per fetch-bomb tick.
-    pub fetch_burst: u32,
-    /// Edge-relay limit: outstanding upstream fetches one session may
-    /// hold before throttling.
+pub struct EdgeLimits {
+    /// Outstanding upstream fetches one session may hold before
+    /// throttling.
     pub max_outstanding_fetches: u32,
-    /// Edge-relay limit: throttles a session survives before eviction.
+    /// Throttles a session survives before eviction.
     pub evict_after_throttles: u32,
-    /// Edge-relay bound on per-session unacked send backlog (bytes); a
-    /// publish that finds the session above it evicts the session.
+    /// Bound on per-session unacked send backlog (bytes); a publish that
+    /// finds the session above it evicts the session.
     pub session_backlog: usize,
 }
 
-impl AdversarialScenario {
-    /// The standing hardening drill.
-    pub fn adversarial() -> AdversarialScenario {
-        AdversarialScenario {
-            name: "adversarial",
-            edges: 2,
-            stubs_per_edge: 3,
-            tracks: 8,
-            updates_per_track: 8,
-            update_interval: Duration::from_secs(2),
-            link_delay: Duration::from_millis(10),
-            attack_interval: Duration::from_millis(500),
-            fetch_burst: 48,
-            max_outstanding_fetches: 16,
-            evict_after_throttles: 64,
-            session_backlog: 4 * 1024,
+/// One relay tier, attached below the tier above it.
+#[derive(Debug, Clone)]
+pub struct RelayTier {
+    /// Tier label: topology tier name, node-name prefix and stats label.
+    pub name: String,
+    /// Relays in the tier.
+    pub count: usize,
+    /// Uplink policy (also fixes how many parents each relay gets).
+    pub policy: RelayPolicy,
+    /// A cross-region core federation: full-mesh peer links, slow
+    /// inter-region uplinks, and relay `s` anchors region `s` (the
+    /// region-to-shard rule: everything below it runs on shard `s % W`).
+    pub federated: bool,
+    /// Relay `j` is seeded `seed + j`.
+    pub seed: u64,
+    /// Tightened abuse limits, if any.
+    pub limits: Option<EdgeLimits>,
+}
+
+impl RelayTier {
+    /// A plain tier of `count` relays.
+    pub fn new(name: impl Into<String>, count: usize, policy: RelayPolicy, seed: u64) -> RelayTier {
+        RelayTier {
+            name: name.into(),
+            count,
+            policy,
+            federated: false,
+            seed,
+            limits: None,
         }
     }
 
-    /// A tiny variant for CI smoke runs. The update-round count is NOT
-    /// shrunk: the slow-loris eviction needs enough pushed-and-unacked
-    /// updates to cross the backlog bound, so rounds are the shape here,
-    /// not the volume.
-    pub fn smoke(self) -> AdversarialScenario {
-        AdversarialScenario {
-            stubs_per_edge: self.stubs_per_edge.min(2),
-            tracks: self.tracks.min(6),
+    /// Makes this tier the federated core tier.
+    pub fn federated(self) -> RelayTier {
+        RelayTier {
+            federated: true,
             ..self
         }
     }
-
-    /// Total honest stub subscribers.
-    pub fn stub_count(&self) -> usize {
-        self.edges * self.stubs_per_edge
-    }
-
-    /// Updates pushed at the origin over the attack window.
-    pub fn total_updates(&self) -> u64 {
-        self.updates_per_track * self.tracks as u64
-    }
-
-    /// Deliveries the honest population must see despite the attackers:
-    /// every stub, every update, every track, exactly once.
-    pub fn expected_deliveries(&self) -> u64 {
-        self.total_updates() * self.stub_count() as u64
-    }
-
-    /// Throttles one fetch-bomb burst must produce once the budget is
-    /// exhausted (burst size minus the outstanding allowance).
-    pub fn throttles_per_burst(&self) -> u64 {
-        self.fetch_burst
-            .saturating_sub(self.max_outstanding_fetches) as u64
-    }
 }
 
-/// The **chaos** drill: the metro-class federation world driven through
-/// a composed, seeded fault plan — flap the busiest origin→core uplink
-/// through an update round, partition one whole region, and
-/// crash+restart an edge relay with a live subscriber cohort below it —
-/// gating the recovery invariants the paper's always-on distribution
-/// tree depends on:
-///
-/// 1. **zero honest post-recovery loss** — every update round pushed
-///    before, during, or after a fault window is eventually delivered in
-///    full (pushed objects ride reliable streams; flapped links
-///    retransmit after healing, partitioned regions drain on reunion);
-/// 2. **no duplicate delivery across a fault** — per-stub, per-track
-///    version sequences never regress, across link flaps *and* across a
-///    crash/redial/resubscribe cycle;
-/// 3. **bounded redial storms** — disconnected subscribers re-attach
-///    within a bounded number of dial attempts, and relay recovery
-///    probes back off exponentially (capped) instead of hammering;
-/// 4. **bounded state high-water** — relay session/state size returns to
-///    its steady-state envelope once the faults heal (no leaked sessions
-///    or subscriptions from the chaos).
-///
-/// The same plan replays bit-identically single-threaded and sharded
-/// (`--par N`) — the fault plane applies at simulation barriers and all
-/// loss draws are per-link deterministic (see `moqdns_netsim::faults`).
+/// The leaf tier: `per_edge` stubs under every relay of the last tier
+/// (or under the origin when there are no relay tiers).
 #[derive(Debug, Clone, Copy)]
-pub struct ChaosScenario {
-    /// Scenario label.
+pub struct StubTier {
+    /// Tier label.
     pub name: &'static str,
-    /// The underlying metro-class world.
-    pub metro: MetroScenario,
+    /// Stubs per parent.
+    pub per_edge: usize,
+    /// Stub `j` is seeded `seed + j`.
+    pub seed: u64,
+}
+
+/// Seeds of the cold edges (and their stubs) joining after an origin
+/// kill: late edge `n` is seeded `edge_seed + n`, its stub `i`
+/// `stub_seed + n * stride + i`.
+#[derive(Debug, Clone, Copy)]
+pub struct LateJoin {
+    /// Edge seed base.
+    pub edge_seed: u64,
+    /// Stub seed base.
+    pub stub_seed: u64,
+    /// Seed stride between successive late edges' cohorts.
+    pub stride: u64,
+}
+
+/// Diurnal join/leave waves: each wave adds `stubs_per_edge` transient
+/// stubs under every edge, stub `i` of wave `w` under edge `e` seeded
+/// `WAVE_SEED + (w * edges + e) * WAVE_SEED_STRIDE + i`.
+#[derive(Debug, Clone, Copy)]
+pub struct Waves {
+    /// Waves the scenario drives.
+    pub count: usize,
+    /// Transient stubs each wave adds under every edge.
+    pub stubs_per_edge: usize,
+}
+
+/// Seed base of the diurnal wave cohorts.
+pub const WAVE_SEED: u64 = 500_000;
+/// Seed stride between successive (wave, edge) cohorts.
+pub const WAVE_SEED_STRIDE: u64 = 1024;
+/// Seed of the chaos drill's crash-target edge.
+pub const CHAOS_EDGE_SEED: u64 = 5000;
+/// Chaos cohort stub `i` is seeded `CHAOS_STUB_SEED + i`.
+pub const CHAOS_STUB_SEED: u64 = 8000;
+/// Stack seed of the hardening drill's attacker.
+pub const ATTACKER_SEED: u64 = 900;
+
+/// The chaos drill: an extra crash-target edge in region 0 with a cohort
+/// of short-idle, auto-redialing stubs, and the fault windows driven over
+/// the world (uplink flap, region partition, edge crash/restart).
+#[derive(Debug, Clone, Copy)]
+pub struct ChaosDrill {
     /// Subscribers on the crash-target edge (the redial cohort).
-    pub chaos_stubs: usize,
+    pub stubs: usize,
     /// Idle timeout for the redial cohort: short, so a dial into a dead
     /// edge fails fast instead of probing into the void for an hour.
     pub stub_idle: Duration,
@@ -1138,51 +326,17 @@ pub struct ChaosScenario {
     pub flap_len: Duration,
     /// The region isolated by the partition drill.
     pub partition_region: usize,
-    /// How long the partition holds (the paper-shaped drill: 10 s).
+    /// How long the partition holds.
     pub partition_len: Duration,
     /// How long the crashed edge stays down before its restart.
     pub edge_downtime: Duration,
-    /// Settle time after each fault heals before gating.
+    /// Settle time after the cohort joins and after each fault heals.
     pub settle: Duration,
     /// Seed for the fault plan's deterministic window jitter.
     pub fault_seed: u64,
 }
 
-impl ChaosScenario {
-    /// The standing chaos drill on the metro world.
-    pub fn chaos() -> ChaosScenario {
-        ChaosScenario {
-            name: "chaos",
-            metro: MetroScenario::metro(),
-            chaos_stubs: 8,
-            stub_idle: Duration::from_secs(4),
-            stub_keep_alive: Duration::from_secs(1),
-            stub_redial: Duration::from_millis(500),
-            flap_len: Duration::from_secs(3),
-            partition_region: 1,
-            partition_len: Duration::from_secs(10),
-            edge_downtime: Duration::from_secs(12),
-            settle: Duration::from_secs(5),
-            fault_seed: 0xC4A05,
-        }
-    }
-
-    /// The CI smoke variant: only the metro population shrinks — every
-    /// fault window keeps its full length (the drill is about time
-    /// constants, not volume).
-    pub fn smoke(self) -> ChaosScenario {
-        ChaosScenario {
-            metro: self.metro.smoke(),
-            ..self
-        }
-    }
-
-    /// (stub, track) subscriptions held by the redial cohort — also the
-    /// deliveries it must see per update round while attached.
-    pub fn chaos_subscriptions(&self) -> u64 {
-        self.chaos_stubs as u64 * self.metro.tracks_per_stub as u64
-    }
-
+impl ChaosDrill {
     /// Upper bound on dial attempts per cohort stub across the whole
     /// run: the downtime divided by the fastest possible
     /// redial-and-time-out cycle, plus slack for the reconnect race.
@@ -1192,13 +346,768 @@ impl ChaosScenario {
     }
 }
 
+/// The attacker of the hardening drill (it targets the first edge).
+#[derive(Debug, Clone, Copy)]
+pub struct Attack {
+    /// Attack cadence (byzantine + fetch-bomb tick).
+    pub interval: Duration,
+    /// Standalone cold-track FETCHes per fetch-bomb tick.
+    pub fetch_burst: u32,
+}
+
+/// Caps the CI smoke variant applies (`usize::MAX`/`u64::MAX` = keep).
+#[derive(Debug, Clone, Copy)]
+pub struct Smoke {
+    /// Relays in the last relay tier.
+    pub edges: usize,
+    /// Stubs per edge.
+    pub stubs_per_edge: usize,
+    /// Tracks.
+    pub tracks: usize,
+    /// Tracks per slice.
+    pub tracks_per_stub: usize,
+    /// Update rounds.
+    pub updates_per_track: u64,
+    /// Wave stubs per edge.
+    pub wave_stubs_per_edge: usize,
+}
+
+/// No smoke caps: every count kept.
+const KEEP: Smoke = Smoke {
+    edges: usize::MAX,
+    stubs_per_edge: usize::MAX,
+    tracks: usize::MAX,
+    tracks_per_stub: usize::MAX,
+    updates_per_track: u64::MAX,
+    wave_stubs_per_edge: usize::MAX,
+};
+
+/// One simulated relay tree, as data: `moqdns-bench` builds it into a
+/// `RelayWorld` (one `TopoBuilder` tier per entry, node creation in tier
+/// order) and every gated tree-family scenario is a preset below.
+///
+/// Every node seed, node name, link delay and creation order is part of
+/// the spec, so a preset replays its scenario's event stream exactly, and
+/// every gate expectation (deliveries, coalesced-fetch bounds, Zipf
+/// demand maps) is a pure function of it.
+#[derive(Debug, Clone)]
+pub struct RelayTreeSpec {
+    /// Scenario label.
+    pub name: &'static str,
+    /// Zone apex the tracks live under.
+    pub apex: &'static str,
+    /// Track naming.
+    pub naming: TrackNaming,
+    /// Distinct records (tracks).
+    pub tracks: usize,
+    /// Which tracks each stub subscribes to.
+    pub slicing: Slicing,
+    /// Updated records get `A <update_net>.<octet>`.
+    pub update_net: [u8; 3],
+    /// The origin.
+    pub auth: AuthTier,
+    /// Relay tiers, top-down.
+    pub relays: Vec<RelayTier>,
+    /// The leaf tier.
+    pub stubs: StubTier,
+    /// One-way delay of every intra-region link (and the default link).
+    pub link_delay: Duration,
+    /// One-way delay of inter-region links (federated uplinks and peer
+    /// links) — deliberately slower so the latency asymmetry shows.
+    pub peer_delay: Duration,
+    /// Simulated time the build runs before anyone measures.
+    pub settle: Duration,
+    /// Update rounds pushed per track during the measured window.
+    pub updates_per_track: u64,
+    /// Gap between update rounds.
+    pub update_interval: Duration,
+    /// Cold edges joining mid-run.
+    pub late: LateJoin,
+    /// Diurnal waves.
+    pub waves: Waves,
+    /// The chaos drill, if this is the chaos world.
+    pub chaos: Option<ChaosDrill>,
+    /// The attacker, if this is the hardening drill.
+    pub attack: Option<Attack>,
+    /// The caps [`RelayTreeSpec::smoke`] applies.
+    pub smoke_caps: Smoke,
+}
+
+/// Long-lived origin transport with the standard 25 s keep-alive.
+const AUTH: AuthTier = AuthTier {
+    name: "auth",
+    seed: 11,
+    keep_alive: Some(Duration::from_secs(25)),
+};
+
+/// One stub per edge, seeded from 100.
+const STUBS: StubTier = StubTier {
+    name: "stub",
+    per_edge: 1,
+    seed: 100,
+};
+
+impl RelayTreeSpec {
+    /// The skeleton every preset starts from: no relays, one track.
+    fn base(name: &'static str, apex: &'static str) -> RelayTreeSpec {
+        RelayTreeSpec {
+            name,
+            apex,
+            naming: TrackNaming::Indexed,
+            tracks: 1,
+            slicing: Slicing::All,
+            update_net: [198, 51, 100],
+            auth: AUTH,
+            relays: Vec::new(),
+            stubs: STUBS,
+            link_delay: Duration::from_millis(15),
+            peer_delay: Duration::from_millis(15),
+            settle: Duration::from_secs(5),
+            updates_per_track: 1,
+            update_interval: Duration::from_secs(5),
+            late: LateJoin {
+                edge_seed: 600,
+                stub_seed: 700,
+                stride: 16,
+            },
+            waves: Waves {
+                count: 0,
+                stubs_per_edge: 0,
+            },
+            chaos: None,
+            attack: None,
+            smoke_caps: KEEP,
+        }
+    }
+
+    /// The §5.3 3-tier tree (auth → 2 tier-1 relays → 4 failover edges →
+    /// stubs), common to the DDNS and CDN flavours.
+    fn tree(name: &'static str, stubs_per_edge: usize, tracks: usize) -> RelayTreeSpec {
+        RelayTreeSpec {
+            tracks,
+            relays: vec![
+                RelayTier::new("tier1", 2, RelayPolicy::StaticParent, 40),
+                RelayTier::new("edge", 4, RelayPolicy::Failover, 60),
+            ],
+            stubs: StubTier {
+                per_edge: stubs_per_edge,
+                ..STUBS
+            },
+            smoke_caps: Smoke {
+                stubs_per_edge: 2,
+                tracks: 2,
+                updates_per_track: 2,
+                ..KEEP
+            },
+            ..Self::base(name, "tree.example")
+        }
+    }
+
+    /// DDNS flavour (§5.3 first scenario, scaled down): few records with
+    /// a burst of address changes, fanned out through the tree.
+    pub fn ddns_tree() -> RelayTreeSpec {
+        RelayTreeSpec {
+            updates_per_track: 3,
+            ..Self::tree("ddns-tree", 16, 2)
+        }
+    }
+
+    /// CDN flavour (§5.3 second scenario, scaled down): more records on a
+    /// short-TTL update cadence.
+    pub fn cdn_tree() -> RelayTreeSpec {
+        RelayTreeSpec {
+            updates_per_track: 2,
+            update_interval: Duration::from_secs(10),
+            ..Self::tree("cdn-tree", 8, 8)
+        }
+    }
+
+    /// The multi-region hash-shard mesh: origin → 3 cores (one shard
+    /// each) → 3 regions × 2 edges hash-sharding across *all* cores →
+    /// stubs. Pins that sharding preserves aggregation, that a joining
+    /// stampede coalesces to one fetch per track, and that a core kill
+    /// ring-walks its shard and a revival rebalances it home.
+    pub fn mesh() -> RelayTreeSpec {
+        RelayTreeSpec {
+            tracks: 6,
+            relays: vec![
+                RelayTier::new("core", 3, RelayPolicy::StaticParent, 40),
+                RelayTier::new("edge", 6, RelayPolicy::HashShard, 60),
+            ],
+            stubs: StubTier {
+                per_edge: 8,
+                ..STUBS
+            },
+            updates_per_track: 3,
+            smoke_caps: Smoke {
+                edges: 4,
+                stubs_per_edge: 2,
+                tracks: 4,
+                updates_per_track: 2,
+                ..KEEP
+            },
+            ..Self::base("mesh", "mesh.example")
+        }
+    }
+
+    /// The cross-region core federation: origin → 3 federated cores (one
+    /// shard each, full-mesh peer links) → 2 region-local edges per
+    /// region → stubs. Pins origin offload (non-home cores fetch from the
+    /// home *peer*), one copy per inter-region link, and origin
+    /// independence (cold edges joining after the origin dies are served
+    /// region-to-region).
+    pub fn federation() -> RelayTreeSpec {
+        RelayTreeSpec {
+            tracks: 6,
+            relays: vec![
+                RelayTier::new("core", 3, RelayPolicy::StaticParent, 40).federated(),
+                RelayTier::new("edge", 6, RelayPolicy::StaticParent, 60),
+            ],
+            stubs: StubTier {
+                per_edge: 4,
+                ..STUBS
+            },
+            link_delay: Duration::from_millis(10),
+            peer_delay: Duration::from_millis(40),
+            updates_per_track: 3,
+            smoke_caps: Smoke {
+                stubs_per_edge: 2,
+                tracks: 4,
+                updates_per_track: 2,
+                ..KEEP
+            },
+            ..Self::base("federation", "fed.example")
+        }
+    }
+
+    /// The metro-scale federation: 3 regions × 4 edges × 833 stubs =
+    /// 9,996 subscribers over 64 tracks, each stub on an 8-track slice.
+    /// Its full-size run is the simulator's wall-clock benchmark.
+    pub fn metro() -> RelayTreeSpec {
+        RelayTreeSpec {
+            tracks: 64,
+            slicing: Slicing::Walk { per_stub: 8 },
+            auth: AuthTier {
+                keep_alive: Some(Duration::from_secs(60)),
+                ..AUTH
+            },
+            relays: vec![
+                RelayTier::new("core", 3, RelayPolicy::StaticParent, 40).federated(),
+                RelayTier::new("edge", 12, RelayPolicy::StaticParent, 60),
+            ],
+            stubs: StubTier {
+                per_edge: 833,
+                ..STUBS
+            },
+            link_delay: Duration::from_millis(5),
+            peer_delay: Duration::from_millis(30),
+            settle: Duration::from_secs(10),
+            updates_per_track: 2,
+            update_interval: Duration::from_secs(2),
+            late: LateJoin {
+                edge_seed: 6000,
+                stub_seed: 7000,
+                stride: 64,
+            },
+            smoke_caps: Smoke {
+                edges: 6,
+                stubs_per_edge: 8,
+                tracks: 16,
+                tracks_per_stub: 2,
+                ..KEEP
+            },
+            ..Self::base("metro", "metro.example")
+        }
+    }
+
+    /// The planet-scale federation: 24 regions × 8 edges × 521 stubs =
+    /// 100,032 residents over 96 toplist-named tracks with Zipf-popular
+    /// slices, plus 2 diurnal waves of 16 transient stubs per edge.
+    /// Smoke keeps the 24 regions, 12 slices and 2 waves.
+    pub fn planet() -> RelayTreeSpec {
+        RelayTreeSpec {
+            naming: TrackNaming::Toplist,
+            tracks: 96,
+            slicing: Slicing::Zipf {
+                per_stub: 8,
+                s: 1.0,
+            },
+            relays: vec![
+                RelayTier::new("core", 24, RelayPolicy::StaticParent, 40).federated(),
+                RelayTier::new("edge", 192, RelayPolicy::StaticParent, 60),
+            ],
+            stubs: StubTier {
+                per_edge: 521,
+                ..STUBS
+            },
+            waves: Waves {
+                count: 2,
+                stubs_per_edge: 16,
+            },
+            smoke_caps: Smoke {
+                edges: 24,
+                stubs_per_edge: 12,
+                tracks: 24,
+                tracks_per_stub: 2,
+                wave_stubs_per_edge: 2,
+                ..KEEP
+            },
+            ..Self::metro()
+        }
+        .named("planet", "planet.example")
+    }
+
+    /// The chaos drill on the metro world: flap the busiest origin→core
+    /// uplink through a round, partition one region for 10 s, and
+    /// crash+restart an edge with a live redial cohort below it. Smoke
+    /// shrinks only the metro population; every fault window keeps its
+    /// full length.
+    pub fn chaos() -> RelayTreeSpec {
+        RelayTreeSpec {
+            chaos: Some(ChaosDrill {
+                stubs: 8,
+                stub_idle: Duration::from_secs(4),
+                stub_keep_alive: Duration::from_secs(1),
+                stub_redial: Duration::from_millis(500),
+                flap_len: Duration::from_secs(3),
+                partition_region: 1,
+                partition_len: Duration::from_secs(10),
+                edge_downtime: Duration::from_secs(12),
+                settle: Duration::from_secs(5),
+                fault_seed: 0xC4A05,
+            }),
+            ..Self::metro()
+        }
+        .named("chaos", "metro.example")
+    }
+
+    /// The paper's depth-5 relay chain ("involving 5 MoQ relays on
+    /// average", §5.3): origin → hop1 … hop5 → stubs.
+    pub fn chain() -> RelayTreeSpec {
+        RelayTreeSpec {
+            tracks: 4,
+            relays: (1..=5)
+                .map(|i| RelayTier::new(format!("hop{i}"), 1, RelayPolicy::StaticParent, 40))
+                .collect(),
+            stubs: StubTier {
+                per_edge: 8,
+                ..STUBS
+            },
+            link_delay: Duration::from_millis(10),
+            updates_per_track: 3,
+            update_interval: Duration::from_secs(2),
+            smoke_caps: Smoke {
+                stubs_per_edge: 3,
+                tracks: 2,
+                updates_per_track: 2,
+                ..KEEP
+            },
+            ..Self::base("chain", "chain.example")
+        }
+    }
+
+    /// The hardening drill: origin → core → 2 edges with tightened abuse
+    /// limits → honest stubs, one attacker on the first edge. Smoke keeps
+    /// the 8 update rounds: the slow-loris eviction needs enough
+    /// pushed-and-unacked updates to cross the backlog bound.
+    pub fn adversarial() -> RelayTreeSpec {
+        let mut edge = RelayTier::new("edge", 2, RelayPolicy::StaticParent, 60);
+        edge.limits = Some(EdgeLimits {
+            max_outstanding_fetches: 16,
+            evict_after_throttles: 64,
+            session_backlog: 4 * 1024,
+        });
+        RelayTreeSpec {
+            tracks: 8,
+            relays: vec![
+                RelayTier::new("core", 1, RelayPolicy::StaticParent, 40),
+                edge,
+            ],
+            stubs: StubTier {
+                per_edge: 3,
+                ..STUBS
+            },
+            link_delay: Duration::from_millis(10),
+            updates_per_track: 8,
+            update_interval: Duration::from_secs(2),
+            attack: Some(Attack {
+                interval: Duration::from_millis(500),
+                fetch_burst: 48,
+            }),
+            smoke_caps: Smoke {
+                stubs_per_edge: 2,
+                tracks: 6,
+                ..KEEP
+            },
+            ..Self::base("adversarial", "adv.example")
+        }
+    }
+
+    /// The E6 DDNS micro-simulation: one DDNS record behind one relay,
+    /// 20 interested subscribers (5 in smoke), two address changes.
+    pub fn ddns() -> RelayTreeSpec {
+        RelayTreeSpec {
+            naming: TrackNaming::Label("home"),
+            update_net: [203, 0, 113],
+            auth: AuthTier {
+                name: "ddns-auth",
+                seed: 1,
+                keep_alive: None,
+            },
+            relays: vec![RelayTier::new("relay", 1, RelayPolicy::StaticParent, 2)],
+            stubs: StubTier {
+                name: "sub",
+                per_edge: 20,
+                seed: 10,
+            },
+            updates_per_track: 2,
+            update_interval: Duration::from_secs(10),
+            smoke_caps: Smoke {
+                stubs_per_edge: 5,
+                ..KEEP
+            },
+            ..Self::base("ddns", "ddns.example")
+        }
+    }
+
+    /// The A3 fan-out ablation: `subs` subscribers of one record, through
+    /// one relay or straight off the origin, 10 updates (3 in smoke).
+    pub fn relay_fanout(subs: usize, via_relay: bool) -> RelayTreeSpec {
+        RelayTreeSpec {
+            naming: TrackNaming::Label("www"),
+            update_net: [203, 0, 113],
+            auth: AuthTier {
+                seed: 1,
+                keep_alive: None,
+                ..AUTH
+            },
+            relays: if via_relay {
+                vec![RelayTier::new("relay", 1, RelayPolicy::StaticParent, 2)]
+            } else {
+                Vec::new()
+            },
+            stubs: StubTier {
+                name: "sub",
+                per_edge: subs,
+                seed: 100,
+            },
+            updates_per_track: 10,
+            update_interval: Duration::from_secs(1),
+            smoke_caps: Smoke {
+                updates_per_track: 3,
+                ..KEEP
+            },
+            ..Self::base("relay_fanout", "pop.example")
+        }
+    }
+
+    fn named(self, name: &'static str, apex: &'static str) -> RelayTreeSpec {
+        RelayTreeSpec { name, apex, ..self }
+    }
+
+    /// The CI smoke variant: the preset's caps applied, shape kept.
+    pub fn smoke(mut self) -> RelayTreeSpec {
+        let c = self.smoke_caps;
+        if let Some(edge) = self.relays.last_mut() {
+            edge.count = edge.count.min(c.edges);
+        }
+        self.stubs.per_edge = self.stubs.per_edge.min(c.stubs_per_edge);
+        self.tracks = self.tracks.min(c.tracks);
+        if let Slicing::Walk { per_stub } | Slicing::Zipf { per_stub, .. } = &mut self.slicing {
+            *per_stub = (*per_stub).min(c.tracks_per_stub);
+        }
+        self.updates_per_track = self.updates_per_track.min(c.updates_per_track);
+        self.waves.stubs_per_edge = self.waves.stubs_per_edge.min(c.wave_stubs_per_edge);
+        self
+    }
+
+    /// The zone records, one per track, named per [`TrackNaming`].
+    /// `seed` is the world seed (it generates the toplist).
+    pub fn track_names(&self, seed: u64) -> Vec<Name> {
+        let name = |first: &str| format!("{first}.{}", self.apex).parse().unwrap();
+        match self.naming {
+            TrackNaming::Indexed => (0..self.tracks).map(|i| name(&format!("r{i}"))).collect(),
+            TrackNaming::Label(label) => {
+                assert_eq!(self.tracks, 1, "a labelled spec has one track");
+                vec![name(label)]
+            }
+            TrackNaming::Toplist => {
+                let toplist = Toplist::generate(self.tracks, seed);
+                if let Slicing::Zipf { s, .. } = self.slicing {
+                    assert_eq!(
+                        toplist.zipf_exponent(),
+                        s,
+                        "spec popularity must match the toplist's Zipf exponent"
+                    );
+                }
+                toplist
+                    .domains()
+                    .iter()
+                    .map(|d| name(d.name.to_string().split('.').next().expect("non-empty")))
+                    .collect()
+            }
+        }
+    }
+
+    /// Relays of the first tier (the hash shards, when sharding).
+    pub fn shards(&self) -> usize {
+        self.relays.first().map_or(1, |t| t.count)
+    }
+
+    /// Regions: one per relay of the federated tier (1 without one).
+    pub fn regions(&self) -> usize {
+        self.relays
+            .iter()
+            .find(|t| t.federated)
+            .map_or(1, |t| t.count)
+    }
+
+    /// The tier the stubs hang off: relays of the last relay tier (1 —
+    /// the origin — with no relay tiers).
+    pub fn edge_count(&self) -> usize {
+        self.relays.last().map_or(1, |t| t.count)
+    }
+
+    /// The region edge `j` serves (the builder wires edge `j`'s parent
+    /// round-robin: core `j % regions`).
+    pub fn region_of_edge(&self, j: usize) -> usize {
+        j % self.regions()
+    }
+
+    /// Total resident stubs.
+    pub fn stub_count(&self) -> usize {
+        self.edge_count() * self.stubs.per_edge
+    }
+
+    /// Tracks each stub subscribes to.
+    pub fn tracks_per_stub(&self) -> usize {
+        match self.slicing {
+            Slicing::All => self.tracks,
+            Slicing::Walk { per_stub } | Slicing::Zipf { per_stub, .. } => per_stub,
+        }
+    }
+
+    /// Distinct track slices (`tracks / tracks_per_stub`; exact).
+    pub fn slices(&self) -> usize {
+        let per = self.tracks_per_stub();
+        assert!(
+            per > 0 && self.tracks.is_multiple_of(per),
+            "tracks_per_stub must divide tracks"
+        );
+        self.tracks / per
+    }
+
+    /// The track indices of slice `s`.
+    pub fn slice_tracks(&self, s: usize) -> std::ops::Range<usize> {
+        let per = self.tracks_per_stub();
+        s * per..(s + 1) * per
+    }
+
+    /// The slice at popularity quantile `u ∈ [0, 1)`: low `u` lands on
+    /// the head slices, which hold most of the Zipf mass (slice 0 for
+    /// unweighted slicing).
+    pub fn slice_at_quantile(&self, u: f64) -> usize {
+        let Slicing::Zipf { s: zipf, .. } = self.slicing else {
+            return 0;
+        };
+        // Cumulative weight per slice: `cum[s]` sums `1/rank^s` over every
+        // track of slices `0..=s` (track `t` has rank `t + 1`).
+        let mut cum = Vec::with_capacity(self.slices());
+        let mut acc = 0.0;
+        for s in 0..self.slices() {
+            for t in self.slice_tracks(s) {
+                acc += 1.0 / ((t + 1) as f64).powf(zipf);
+            }
+            cum.push(acc);
+        }
+        let total = *cum.last().expect("at least one slice");
+        cum.partition_point(|w| *w <= u * total)
+            .min(self.slices() - 1)
+    }
+
+    /// The slice resident stub `j` (global index) subscribes to. A pure
+    /// function of `j`, so every subscriber-count expectation below is
+    /// computable.
+    pub fn slice_of_stub(&self, j: usize) -> usize {
+        match self.slicing {
+            Slicing::All => 0,
+            Slicing::Walk { .. } => (j / self.edge_count()) % self.slices(),
+            Slicing::Zipf { .. } => {
+                self.slice_at_quantile((j as f64 + 0.5) / self.stub_count() as f64)
+            }
+        }
+    }
+
+    /// The slice the `i`-th transient stub of a wave subscribes to (the
+    /// same per-edge cohort shape for every wave and edge).
+    pub fn wave_slice_of(&self, i: usize) -> usize {
+        self.slice_at_quantile((i as f64 + 0.5) / self.waves.stubs_per_edge as f64)
+    }
+
+    /// Total resident (stub, track) subscriptions — the joining-fetch
+    /// stampede size (the naive fetch count coalescing absorbs) and the
+    /// per-round resident delivery count.
+    pub fn subscription_count(&self) -> u64 {
+        self.stub_count() as u64 * self.tracks_per_stub() as u64
+    }
+
+    /// Updates pushed at the origin over the measured rounds.
+    pub fn total_updates(&self) -> u64 {
+        self.updates_per_track * self.tracks as u64
+    }
+
+    /// Deliveries the measured rounds must produce: every stub sees every
+    /// update of every track it subscribes to, exactly once.
+    pub fn expected_deliveries(&self) -> u64 {
+        self.updates_per_track * self.subscription_count()
+    }
+
+    /// Update objects any single edge relay forwards over the measured
+    /// rounds (one copy per subscribed stub).
+    pub fn edge_forwards(&self) -> u64 {
+        self.updates_per_track * (self.tracks_per_stub() * self.stubs.per_edge) as u64
+    }
+
+    /// Copies of one update a relay-free deployment would send from the
+    /// origin (one per stub) over the copies the first relay tier takes:
+    /// the paper's aggregation saving at the origin.
+    pub fn origin_saving(&self) -> f64 {
+        self.stub_count() as f64 / self.shards() as f64
+    }
+
+    /// Resident stubs subscribed to slice `s`.
+    pub fn slice_population(&self, s: usize) -> usize {
+        (0..self.stub_count())
+            .filter(|&j| self.slice_of_stub(j) == s)
+            .count()
+    }
+
+    /// Which slices are present under edge `e` (resident population).
+    /// Zipf-tail slices are absent under many edges — that is the point.
+    pub fn slices_under_edge(&self, e: usize) -> Vec<bool> {
+        let mut present = vec![false; self.slices()];
+        let ec = self.edge_count();
+        for l in 0..self.stubs.per_edge {
+            present[self.slice_of_stub(e + l * ec)] = true;
+        }
+        present
+    }
+
+    /// Which slices a wave cohort subscribes (identical for every edge).
+    pub fn wave_slices(&self) -> Vec<bool> {
+        let mut present = vec![false; self.slices()];
+        for i in 0..self.waves.stubs_per_edge {
+            present[self.wave_slice_of(i)] = true;
+        }
+        present
+    }
+
+    /// Which tracks are demanded in region `r` (union over its edges).
+    pub fn region_tracks(&self, r: usize) -> Vec<bool> {
+        let mut present = vec![false; self.tracks];
+        for e in (0..self.edge_count()).filter(|&e| self.region_of_edge(e) == r) {
+            for (s, _) in self
+                .slices_under_edge(e)
+                .iter()
+                .enumerate()
+                .filter(|p| *p.1)
+            {
+                for t in self.slice_tracks(s) {
+                    present[t] = true;
+                }
+            }
+        }
+        present
+    }
+
+    /// Which tracks are demanded *anywhere* (some region wants them).
+    pub fn demanded_tracks(&self) -> Vec<bool> {
+        let mut present = vec![false; self.tracks];
+        for r in 0..self.regions() {
+            for (t, &p) in self.region_tracks(r).iter().enumerate() {
+                present[t] |= p;
+            }
+        }
+        present
+    }
+
+    /// Upstream fetches edge `e` opens under the resident stampede: one
+    /// per track of each slice present under it, however many stubs join
+    /// at once.
+    pub fn edge_fetches(&self, e: usize) -> u64 {
+        let n = self.slices_under_edge(e).iter().filter(|&&p| p).count();
+        (n * self.tracks_per_stub()) as u64
+    }
+
+    /// Upstream fetches the whole edge tier opens under the stampede.
+    pub fn edge_fetch_total(&self) -> u64 {
+        (0..self.edge_count()).map(|e| self.edge_fetches(e)).sum()
+    }
+
+    /// Extra upstream fetches the edge tier opens when a wave joins:
+    /// only slices the wave demands that the edge's residents do *not*
+    /// cover need a fetch; everything else is served from the edge.
+    pub fn wave_edge_fetch_delta(&self) -> u64 {
+        let wave = self.wave_slices();
+        (0..self.edge_count())
+            .map(|e| {
+                let under = self.slices_under_edge(e);
+                let novel = wave.iter().zip(&under).filter(|&(&w, &u)| w && !u).count();
+                (novel * self.tracks_per_stub()) as u64
+            })
+            .sum()
+    }
+
+    /// Transient (stub, track) subscriptions one wave adds system-wide.
+    pub fn wave_subscription_count(&self) -> u64 {
+        (self.edge_count() * self.waves.stubs_per_edge * self.tracks_per_stub()) as u64
+    }
+
+    /// Peer fetches a densely demanded federation's core tier opens
+    /// during the stampede: each core fetches every track *not* homed on
+    /// it from the home peer, exactly once.
+    pub fn peer_fetch_total(&self) -> u64 {
+        (self.regions() as u64 - 1) * self.tracks as u64
+    }
+
+    /// Fetches the origin would see if the regional cores were *not*
+    /// federated (every core escalates every regional miss).
+    pub fn naive_origin_fetches(&self) -> u64 {
+        self.regions() as u64 * self.tracks as u64
+    }
+
+    /// Origin offload of the stampede as a percentage: the share of
+    /// would-be origin fetches served core-to-core instead.
+    pub fn offload_percent(&self) -> u64 {
+        100 * self.peer_fetch_total() / self.naive_origin_fetches()
+    }
+
+    /// (stub, track) subscriptions held by `stubs` stubs that each take
+    /// one slice — e.g. the chaos cohort's deliveries per round.
+    pub fn cohort_subscriptions(&self, stubs: usize) -> u64 {
+        (stubs * self.tracks_per_stub()) as u64
+    }
+
+    /// Throttles one fetch-bomb burst must produce once the first edge's
+    /// budget is exhausted (burst size minus the outstanding allowance).
+    pub fn throttles_per_burst(&self) -> u64 {
+        let (Some(attack), Some(limits)) = (self.attack, self.relays.last().and_then(|t| t.limits))
+        else {
+            return 0;
+        };
+        attack
+            .fetch_burst
+            .saturating_sub(limits.max_outstanding_fetches) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn federation_scenario_arithmetic() {
-        let s = FederationScenario::federation();
+        let s = RelayTreeSpec::federation();
         assert_eq!(s.edge_count(), 6);
         assert_eq!(s.stub_count(), 24);
         assert_eq!(s.total_updates(), 18);
@@ -1206,36 +1115,36 @@ mod tests {
         // The offload headline: 18 naive origin fetches shrink to 6; the
         // other 12 are served core-to-core.
         assert_eq!(s.peer_fetch_total(), 12);
-        assert_eq!(s.origin_fetch_bound(), 6);
+        assert_eq!(s.tracks, 6, "one origin fetch per track");
         assert_eq!(s.naive_origin_fetches(), 18);
         assert_eq!(s.offload_percent(), 66);
     }
 
     #[test]
     fn federation_scenario_smoke_keeps_shards() {
-        let s = FederationScenario::federation().smoke();
+        let s = RelayTreeSpec::federation().smoke();
         assert!(s.stub_count() <= 12);
         assert!(s.total_updates() <= 8);
-        assert_eq!(s.cores, 3, "shard map unchanged");
+        assert_eq!(s.regions(), 3, "shard map unchanged");
         assert!(s.peer_delay > s.link_delay, "asymmetry preserved");
     }
 
     #[test]
     fn metro_scenario_arithmetic() {
-        let s = MetroScenario::metro();
+        let s = RelayTreeSpec::metro();
         assert_eq!(s.edge_count(), 12);
         assert_eq!(s.stub_count(), 9_996, "~10k stubs");
         assert_eq!(s.slices(), 8);
         assert_eq!(s.subscription_count(), 9_996 * 8);
         assert_eq!(s.expected_deliveries(), 2 * 9_996 * 8);
-        assert_eq!(s.edge_fetch_bound(), 64);
-        assert_eq!(s.origin_fetch_bound(), 64);
+        assert_eq!(s.edge_fetches(0), 64);
+        assert_eq!(s.tracks, 64, "one origin fetch per track");
         // The coalescing headline: ~80k naive joining fetches become 64
         // at the origin.
-        assert_eq!(s.naive_fetches(), 79_968);
+        assert_eq!(s.subscription_count(), 79_968);
         // Every edge sees every slice: consecutive stubs under one edge
         // walk consecutive slices.
-        assert!(s.stubs_per_edge >= s.slices());
+        assert!(s.stubs.per_edge >= s.slices());
         for e in 0..s.edge_count() {
             let mut seen = vec![false; s.slices()];
             for k in 0..s.slices() {
@@ -1243,16 +1152,17 @@ mod tests {
             }
             assert!(seen.iter().all(|&b| b), "edge {e} misses a slice");
         }
+        assert_eq!(s.edge_fetch_total(), 12 * 64);
     }
 
     #[test]
     fn metro_scenario_smoke_keeps_shape() {
-        let s = MetroScenario::metro().smoke();
-        assert_eq!(s.cores, 3, "shard map unchanged");
+        let s = RelayTreeSpec::metro().smoke();
+        assert_eq!(s.regions(), 3, "shard map unchanged");
         assert_eq!(s.slices(), 8, "slice machinery unchanged");
         assert!(s.stub_count() <= 48);
         assert!(
-            s.stubs_per_edge >= s.slices(),
+            s.stubs.per_edge >= s.slices(),
             "every edge sees every slice"
         );
         assert!(s.peer_delay > s.link_delay, "asymmetry preserved");
@@ -1260,7 +1170,7 @@ mod tests {
 
     #[test]
     fn planet_scenario_arithmetic() {
-        let s = PlanetScenario::planet();
+        let s = RelayTreeSpec::planet();
         assert_eq!(s.edge_count(), 192);
         assert_eq!(s.stub_count(), 100_032, "~100k resident stubs");
         assert_eq!(s.slices(), 12);
@@ -1289,17 +1199,17 @@ mod tests {
 
     #[test]
     fn planet_scenario_smoke_keeps_shape() {
-        let s = PlanetScenario::planet().smoke();
-        assert_eq!(s.cores, 24, "dozens of regions is the shape");
+        let s = RelayTreeSpec::planet().smoke();
+        assert_eq!(s.regions(), 24, "dozens of regions is the shape");
         assert_eq!(s.slices(), 12, "slice machinery unchanged");
-        assert_eq!(s.waves, 2, "diurnal waves preserved");
+        assert_eq!(s.waves.count, 2, "diurnal waves preserved");
         assert!(s.stub_count() <= 300);
         assert!(s.peer_delay > s.link_delay, "asymmetry preserved");
         // Quantile assignment stays total and in-range.
         for j in 0..s.stub_count() {
             assert!(s.slice_of_stub(j) < s.slices());
         }
-        for i in 0..s.wave_stubs_per_edge {
+        for i in 0..s.waves.stubs_per_edge {
             assert!(s.wave_slice_of(i) < s.slices());
         }
         // In the sparse smoke shape (12 stubs per edge, 8.3% quantile
@@ -1314,7 +1224,7 @@ mod tests {
 
     #[test]
     fn planet_quantiles_are_monotone_and_popular_heavy() {
-        let s = PlanetScenario::planet();
+        let s = RelayTreeSpec::planet();
         // Monotone: later quantiles never map to earlier slices.
         let mut last = 0;
         for k in 0..100 {
@@ -1331,93 +1241,85 @@ mod tests {
 
     #[test]
     fn chain_scenario_arithmetic() {
-        let s = ChainScenario::chain();
-        assert_eq!(s.hops, 5, "the paper's average path length");
+        let s = RelayTreeSpec::chain();
+        assert_eq!(s.relays.len(), 5, "the paper's average path length");
         assert_eq!(s.total_updates(), 12);
         assert_eq!(s.expected_deliveries(), 96);
-        assert_eq!(s.copies_per_link(), 1);
         let sm = s.smoke();
-        assert_eq!(sm.hops, 5, "depth is the point of the drill");
+        assert_eq!(sm.relays.len(), 5, "depth is the point of the drill");
         assert!(sm.expected_deliveries() <= 12);
     }
 
     #[test]
     fn mesh_scenario_arithmetic() {
-        let s = MeshScenario::mesh();
+        let s = RelayTreeSpec::mesh();
         assert_eq!(s.edge_count(), 6);
         assert_eq!(s.stub_count(), 48);
         assert_eq!(s.total_updates(), 18);
         assert_eq!(s.expected_deliveries(), 18 * 48);
-        assert_eq!(s.copies_per_link(), 1);
         // The stampede bound: 6 tracks -> 6 upstream fetches per edge and
         // 6 across the whole core tier, vs 288 naive edge escalations.
-        assert_eq!(s.edge_fetch_bound(), 6);
-        assert_eq!(s.core_tier_fetch_bound(), 6);
-        assert_eq!(s.naive_edge_fetches(), 288);
+        assert_eq!(s.edge_fetches(0), 6);
+        assert_eq!(s.tracks, 6);
+        assert_eq!(s.subscription_count(), 288);
     }
 
     #[test]
     fn mesh_scenario_smoke_shrinks() {
-        let s = MeshScenario::mesh().smoke();
+        let s = RelayTreeSpec::mesh().smoke();
         assert!(s.stub_count() <= 8);
         assert!(s.total_updates() <= 8);
         // Shape is preserved — the shard count stays put.
-        assert_eq!(s.cores, 3);
-        assert_eq!(s.edges_per_region, 2);
+        assert_eq!(s.shards(), 3);
+        assert_eq!(s.relays[1].policy, RelayPolicy::HashShard);
     }
 
     #[test]
     fn tree_scenario_arithmetic() {
-        let s = TreeScenario::ddns_tree();
-        assert_eq!(s.edge_relays(), 4);
-        assert_eq!(s.relay_count(), 6);
+        let s = RelayTreeSpec::ddns_tree();
+        assert_eq!(s.edge_count(), 4);
+        assert_eq!(s.relays.iter().map(|t| t.count).sum::<usize>(), 6);
         assert_eq!(s.stub_count(), 64);
         assert_eq!(s.total_updates(), 6);
         assert_eq!(s.expected_deliveries(), 6 * 64);
-        assert_eq!(s.copies_per_link(), 1);
         // Origin egress shrinks from 64 copies to 2 per update.
         assert!((s.origin_saving() - 32.0).abs() < 1e-9);
-        // Per-relay forward arithmetic: each tier-1 serves 2 edges, each
-        // edge serves 16 stubs.
-        assert_eq!(s.tier1_forwards(), 12);
+        // Each edge serves 16 stubs.
         assert_eq!(s.edge_forwards(), 96);
     }
 
     #[test]
     fn tree_scenario_smoke_shrinks() {
-        let s = TreeScenario::cdn_tree().smoke();
+        let s = RelayTreeSpec::cdn_tree().smoke();
         assert!(s.stub_count() <= 8);
         assert!(s.total_updates() <= 4);
         // Shape is preserved — only volume shrinks.
-        assert_eq!(s.tier1_relays, 2);
-        assert_eq!(s.edges_per_tier1, 2);
+        assert_eq!(s.shards(), 2);
+        assert_eq!(s.edge_count(), 4);
     }
 
     #[test]
     fn adversarial_scenario_arithmetic() {
-        let s = AdversarialScenario::adversarial();
+        let s = RelayTreeSpec::adversarial();
         assert_eq!(s.stub_count(), 6);
         assert_eq!(s.total_updates(), 64);
         assert_eq!(s.expected_deliveries(), 64 * 6);
         // Budget math: a 48-fetch burst against a 16-slot allowance
         // throttles 32 times per tick.
         assert_eq!(s.throttles_per_burst(), 32);
-        assert!(
-            s.fetch_burst > s.max_outstanding_fetches,
-            "the bomb must actually exceed the budget"
-        );
     }
 
     #[test]
     fn adversarial_scenario_smoke_keeps_attack_shape() {
-        let s = AdversarialScenario::adversarial().smoke();
+        let s = RelayTreeSpec::adversarial().smoke();
         assert!(s.stub_count() <= 4);
         // The limits, cadence, and round count survive the shrink — they
         // are what make the attacks trip their defenses.
         assert_eq!(s.updates_per_track, 8, "loris needs the full rounds");
-        assert_eq!(s.fetch_burst, 48);
-        assert_eq!(s.max_outstanding_fetches, 16);
-        assert_eq!(s.session_backlog, 4 * 1024);
+        assert_eq!(s.attack.unwrap().fetch_burst, 48);
+        let limits = s.relays[1].limits.unwrap();
+        assert_eq!(limits.max_outstanding_fetches, 16);
+        assert_eq!(limits.session_backlog, 4 * 1024);
         assert!(s.throttles_per_burst() > 0);
     }
 

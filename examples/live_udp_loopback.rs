@@ -1,281 +1,173 @@
-//! The same protocol stack over **real UDP sockets** — proof the sans-io
+//! The same protocol nodes over **real UDP sockets** — proof the sans-io
 //! cores are a transport, not just a simulation artifact.
 //!
-//!     cargo run --example live_udp_loopback
+//!     cargo run --release --example live_udp_loopback
 //!
-//! Starts a MoQT server endpoint and a client endpoint on 127.0.0.1,
-//! performs the QUIC-like handshake, MoQT session setup, a SUBSCRIBE +
-//! joining FETCH for a DNS question, and pushes one record update — all
-//! over the loopback interface with wall-clock time. Then the crash
-//! drill: the server's io thread is stopped *without* sending
-//! CONNECTION_CLOSE (the in-process analog of `kill -9`), the client —
-//! running a short idle timeout, §5.1's liveness contract — detects the
-//! dead peer, and a fresh server on the same address serves the
-//! reconnect's joining FETCH.
+//! An `AuthServer` and a `StubResolver` — the nodes the simulator
+//! experiments measure — each run behind a `relayd::netio::LiveHost`, the
+//! production io path of `moqdns-relayd`, on 127.0.0.1. The stub
+//! subscribes to a DNS question with a joining FETCH, gets the current
+//! record, and receives one pushed update. Then the crash drill: the
+//! server host stops *without* sending CONNECTION_CLOSE (the in-process
+//! analog of `kill -9`), the stub — running a short idle timeout, §5.1's
+//! liveness contract — detects the dead peer and redials, and a fresh
+//! server on the same address serves the redial's joining FETCH, which
+//! recovers the record changed while the server was down.
 //!
-//! This is the minimal single-socket demo wired by hand at the endpoint
-//! layer. The **production path** is `moqdns-relayd` (`crates/relayd`):
-//! the full `AuthServer`/`RelayNode` nodes over N `SO_REUSEPORT` socket
-//! shards with worker threads, batched io, and a graceful SIGTERM drain —
-//! plus `moqdns-loadgen` replaying the workload models against it (the
-//! CI `live` job, `ci/live_smoke.sh`). The full-process version of the
-//! crash drill — SIGKILL a relay daemon mid-run, restart it, gate that
-//! every auto-redialing client reconverges — is `ci/live_chaos.sh`.
+//! The full-process version of the drill (SIGKILL a relay daemon mid-run,
+//! restart it, gate that every auto-redialing client reconverges) is
+//! `ci/live_chaos.sh`. Exits nonzero if any step fails.
 
-use moqdns::core::mapping::{
-    object_from_response, question_from_track, track_from_question, RequestFlags,
-};
-use moqdns::dns::message::{Message, Question};
+use moqdns::core::{AuthServer, StubMode, StubResolver, TeardownPolicy, MOQT_PORT};
+use moqdns::dns::message::Question;
+use moqdns::dns::name::Name;
 use moqdns::dns::rdata::RData;
 use moqdns::dns::rr::{Record, RecordType};
-use moqdns::moqt::session::{Session, SessionConfig, SessionEvent};
-use moqdns::moqt::MOQT_ALPN;
-use moqdns::quic::udp_driver::UdpDriver;
-use moqdns::quic::{Endpoint, TransportConfig};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::net::SocketAddr;
-use std::sync::Arc;
-use std::time::Duration;
+use moqdns::dns::server::Authority;
+use moqdns::dns::zone::Zone;
+use moqdns::netsim::{Addr, NodeId};
+use moqdns::quic::TransportConfig;
+use moqdns_relayd::netio::{HostCore, LiveHost};
+use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::time::{Duration, Instant};
+
+const HOST: &str = "www.example.com";
+
+fn fail(step: &str) -> ! {
+    eprintln!("live_udp_loopback: FAILED: {step}");
+    std::process::exit(1)
+}
+
+fn address(octet: u8) -> RData {
+    RData::A(Ipv4Addr::new(192, 0, 2, octet))
+}
+
+/// An authoritative server for example.com (`www` at `192.0.2.<octet>`)
+/// behind one socket bound to `addr`.
+fn start_server(addr: &str, octet: u8, seed: u64) -> (LiveHost, NodeId, SocketAddr) {
+    let mut zone = Zone::with_default_soa("example.com".parse().unwrap());
+    zone.add_record(Record::new(HOST.parse().unwrap(), 300, address(octet)));
+    let mut core = HostCore::new(seed, true);
+    let auth = AuthServer::new(Authority::single(zone), TransportConfig::default(), seed);
+    let node = core.live().add_node("auth", Box::new(auth));
+    let socket = UdpSocket::bind(addr).unwrap_or_else(|e| fail(&format!("bind {addr}: {e}")));
+    let local = socket.local_addr().expect("bound socket has an address");
+    (
+        LiveHost::start(core, vec![socket], vec![vec![node]]),
+        node,
+        local,
+    )
+}
+
+/// Polls `check` against `host`'s core every 5 ms until it yields a
+/// value, failing the example after `timeout`.
+fn wait_for<T>(
+    host: &LiveHost,
+    timeout: Duration,
+    step: &str,
+    mut check: impl FnMut(&mut HostCore) -> Option<T>,
+) -> T {
+    let deadline = Instant::now() + timeout;
+    while Instant::now() < deadline {
+        if let Some(v) = host.with_core(&mut check) {
+            return v;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    fail(step)
+}
 
 fn main() {
-    // --- server ---
-    let server_ep: Endpoint<SocketAddr> = Endpoint::server(
-        TransportConfig::default(),
-        moqdns_quic::alpn_list(&[MOQT_ALPN]),
-        2,
-    );
-    let server = UdpDriver::start(server_ep, "127.0.0.1:0").expect("bind server");
-    let server_addr = server.local_addr();
+    let (server, auth, server_addr) = start_server("127.0.0.1:0", 1, 2);
     println!("MoQT nameserver listening on {server_addr}");
 
-    let sessions: Arc<Mutex<HashMap<u64, Session>>> = Arc::new(Mutex::new(HashMap::new()));
-
-    // --- client ---
     // Short idle timeout: a SIGKILLed peer sends nothing, so this timer
-    // *is* the crash detector (the keep-alive holds the timer off while
-    // the peer is actually alive).
-    let client_transport = TransportConfig::default()
+    // *is* the crash detector (the keep-alive holds it off while the peer
+    // is alive). After a loss the stub redials and re-subscribes.
+    let mut core = HostCore::new(1, false);
+    let remote = core.register_remote(server_addr);
+    let transport = TransportConfig::default()
         .idle_timeout(Duration::from_millis(600))
         .keep_alive(Duration::from_millis(200));
-    let client_ep: Endpoint<SocketAddr> = Endpoint::client(client_transport, 1);
-    let client = UdpDriver::start(client_ep, "127.0.0.1:0").expect("bind client");
-    let question = Question::new("www.example.com".parse().unwrap(), RecordType::A);
-    let track = track_from_question(&question, RequestFlags::recursive()).unwrap();
+    let stub = StubResolver::with_transport(
+        StubMode::Moqt,
+        Addr::new(remote, MOQT_PORT),
+        1,
+        TeardownPolicy::Never,
+        transport,
+    )
+    .redial_after(Duration::from_millis(250));
+    let stub = core.live().add_node("stub", Box::new(stub));
+    let socket = UdpSocket::bind("127.0.0.1:0").unwrap_or_else(|e| fail(&format!("bind: {e}")));
+    let client = LiveHost::start(core, vec![socket], vec![vec![stub]]);
 
-    // Connect + start the session.
-    let (ch, mut client_session) = {
-        let ep = client.endpoint();
-        let mut ep = ep.lock();
-        let now = client.now();
-        let ch = ep.connect(
-            now,
-            server_addr,
-            moqdns_quic::alpn_list(&[MOQT_ALPN]),
-            false,
-        );
-        let mut session = Session::client(SessionConfig::default());
-        session.start(ep.conn_mut(ch).unwrap());
-        (ch, session)
-    };
-
-    // Event loops are just polling the shared endpoints; a real server
-    // would own this, but 60 lines of example must stay readable.
-    let serve = |sessions: &Arc<Mutex<HashMap<u64, Session>>>, server: &UdpDriver| {
-        let ep = server.endpoint();
-        let mut ep = ep.lock();
-        while let Some(h) = ep.poll_incoming() {
-            sessions
-                .lock()
-                .insert(h.0, Session::server(SessionConfig::default()));
-        }
-        let mut events = Vec::new();
-        while let Some((h, ev)) = ep.poll_event() {
-            events.push((h, ev));
-        }
-        for (h, ev) in events {
-            let mut sess_map = sessions.lock();
-            let (Some(session), Some(conn)) = (sess_map.get_mut(&h.0), ep.conn_mut(h)) else {
-                continue;
-            };
-            session.on_conn_event(conn, &ev);
-            while let Some(sev) = session.poll_event() {
-                match sev {
-                    SessionEvent::IncomingSubscribe { request_id, track } => {
-                        let (q, _) = question_from_track(&track).unwrap();
-                        println!("[server] SUBSCRIBE for {q}");
-                        session.accept_subscribe(conn, request_id, Some((1, 0)));
-                    }
-                    SessionEvent::IncomingFetch { request_id, .. } => {
-                        println!("[server] joining FETCH -> current record (v1)");
-                        let mut resp = Message::response(Message::query(0, question.clone()));
-                        resp.answers.push(Record::new(
-                            question.qname.clone(),
-                            300,
-                            RData::A("192.0.2.1".parse().unwrap()),
-                        ));
-                        let obj = object_from_response(&resp, 1);
-                        session.respond_fetch(conn, request_id, (1, 0), vec![obj]);
-                    }
-                    _ => {}
-                }
-            }
+    let name: Name = HOST.parse().unwrap();
+    let question = Question::new(name.clone(), RecordType::A);
+    let answer = |octet: u8| {
+        let q = question.clone();
+        move |core: &mut HostCore| {
+            let s: &StubResolver = core.live().node_ref(stub);
+            let records = s.answer(&q)?;
+            records
+                .iter()
+                .find(|r| r.rdata == address(octet))
+                .map(Record::to_string)
         }
     };
 
-    // Wait for the lookup to complete on the client side.
-    let mut got_initial = false;
-    let mut got_push = false;
-    let mut server_push_done = false;
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while !got_push && std::time::Instant::now() < deadline {
-        serve(&sessions, &server);
-        {
-            let ep = client.endpoint();
-            let mut ep = ep.lock();
-            let mut events = Vec::new();
-            while let Some((h, ev)) = ep.poll_event() {
-                if h == ch {
-                    events.push(ev);
+    client.with_core(|core| {
+        core.live()
+            .with_node::<StubResolver, _>(stub, |s, ctx| s.lookup(ctx, question.clone()));
+    });
+    println!("[client] SUBSCRIBE + joining FETCH for {question}");
+    let initial = wait_for(&client, Duration::from_secs(5), "joining fetch", answer(1));
+    println!("[client] initial answer: {initial}");
+
+    server.with_core(|core| {
+        core.live().with_node::<AuthServer, _>(auth, |a, ctx| {
+            a.update_zone(ctx, |authority| {
+                if let Some(z) = authority.find_zone_mut(&name) {
+                    let r = Record::new(name.clone(), 300, address(99));
+                    z.set_records(&name, RecordType::A, vec![r]);
                 }
-            }
-            for ev in events {
-                if let Some(conn) = ep.conn_mut(ch) {
-                    client_session.on_conn_event(conn, &ev);
-                }
-            }
-            if client_session.is_ready() && client_session.subscription_count() == 0 {
-                if let Some(conn) = ep.conn_mut(ch) {
-                    println!("[client] session ready; SUBSCRIBE + joining FETCH");
-                    client_session.subscribe_with_joining_fetch(conn, track.clone(), 1);
-                }
-            }
-            while let Some(sev) = client_session.poll_event() {
-                match sev {
-                    SessionEvent::FetchObjects { objects, .. } => {
-                        let m = moqdns::core::response_from_object(&objects[0]).unwrap();
-                        println!("[client] initial answer: {}", m.answers[0]);
-                        got_initial = true;
-                    }
-                    SessionEvent::SubscriptionObject { object, .. } => {
-                        let m = moqdns::core::response_from_object(&object).unwrap();
-                        println!(
-                            "[client] pushed update v{}: {}",
-                            object.group_id, m.answers[0]
-                        );
-                        got_push = true;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // After the initial answer, the server pushes one update.
-        if got_initial && !server_push_done {
-            server_push_done = true;
-            let ep = server.endpoint();
-            let mut ep = ep.lock();
-            let mut sess_map = sessions.lock();
-            for (hraw, session) in sess_map.iter_mut() {
-                if let Some(conn) = ep.conn_mut(moqdns::quic::ConnHandle(*hraw)) {
-                    let mut resp = Message::response(Message::query(0, question.clone()));
-                    resp.answers.push(Record::new(
-                        question.qname.clone(),
-                        300,
-                        RData::A("192.0.2.99".parse().unwrap()),
-                    ));
-                    let obj = object_from_response(&resp, 2);
-                    // Publish to every accepted peer subscription (id 0).
-                    session.publish(conn, 0, obj);
-                    println!("[server] record changed -> pushing v2");
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(got_push, "live loopback example timed out");
+            });
+        });
+    });
+    println!("[server] record changed -> pushing v2");
+    let pushed = wait_for(&client, Duration::from_secs(5), "pushed update", answer(99));
+    println!("[client] pushed update: {pushed}");
     println!("\nReal packets, real sockets, same state machines.");
 
-    // --- crash drill: silent server death, detection, reconnect ---
-    // `shutdown` stops the io thread without closing any connection — no
-    // CONNECTION_CLOSE ever reaches the client, exactly like `kill -9`
-    // on the relay daemon. The client's only signal is silence.
+    // --- crash drill: silent server death, detection, redial ---
+    // Stopping the host joins its io workers and closes the socket
+    // without a CONNECTION_CLOSE — exactly like `kill -9` on a daemon.
     println!("\n[chaos] killing the server (no CONNECTION_CLOSE sent)");
-    server.shutdown();
-
-    let detected = client.wait_for(Duration::from_secs(5), |ep| {
-        while let Some((h, ev)) = ep.poll_event() {
-            if let (true, moqdns::quic::Event::Closed { reason, .. }) = (h == ch, ev) {
-                return Some(reason);
-            }
-        }
-        None
-    });
-    let reason = detected.expect("client never noticed the dead server");
-    println!("[client] peer declared dead: {reason}");
-
-    // Restart on the same address — a brand-new process image: fresh
-    // endpoint state, none of its predecessor's connections. The client
-    // redials and replays the SUBSCRIBE + joining FETCH; the fetch is
-    // what recovers the state published while the server was down.
-    let server2_ep: Endpoint<SocketAddr> = Endpoint::server(
-        TransportConfig::default(),
-        moqdns_quic::alpn_list(&[MOQT_ALPN]),
-        3,
+    server.stop();
+    wait_for(
+        &client,
+        Duration::from_secs(5),
+        "idle-timeout detection",
+        |core| {
+            let s: &StubResolver = core.live().node_ref(stub);
+            (s.redials > 0).then_some(())
+        },
     );
-    let server2 = UdpDriver::start(server2_ep, &server_addr.to_string()).expect("rebind server");
+    println!("[client] peer declared dead by idle timeout; redialing");
+
+    // A brand-new server image on the same address — none of its
+    // predecessor's connections, and a record changed while it was down.
+    // The redial's joining FETCH is what recovers it.
+    let (server, _, _) = start_server(&server_addr.to_string(), 100, 3);
     println!("[chaos] server restarted on {server_addr}");
-    let sessions2: Arc<Mutex<HashMap<u64, Session>>> = Arc::new(Mutex::new(HashMap::new()));
-
-    let (ch2, mut rejoin_session) = {
-        let ep = client.endpoint();
-        let mut ep = ep.lock();
-        let now = client.now();
-        let ch2 = ep.connect(
-            now,
-            server_addr,
-            moqdns_quic::alpn_list(&[MOQT_ALPN]),
-            false,
-        );
-        let mut session = Session::client(SessionConfig::default());
-        session.start(ep.conn_mut(ch2).unwrap());
-        (ch2, session)
-    };
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while std::time::Instant::now() < deadline {
-        serve(&sessions2, &server2);
-        let ep = client.endpoint();
-        let mut ep = ep.lock();
-        let mut events = Vec::new();
-        while let Some((h, ev)) = ep.poll_event() {
-            if h == ch2 {
-                events.push(ev);
-            }
-        }
-        for ev in events {
-            if let Some(conn) = ep.conn_mut(ch2) {
-                rejoin_session.on_conn_event(conn, &ev);
-            }
-        }
-        if rejoin_session.is_ready() && rejoin_session.subscription_count() == 0 {
-            if let Some(conn) = ep.conn_mut(ch2) {
-                println!("[client] redialed; re-SUBSCRIBE + joining FETCH");
-                rejoin_session.subscribe_with_joining_fetch(conn, track.clone(), 1);
-            }
-        }
-        while let Some(sev) = rejoin_session.poll_event() {
-            if let SessionEvent::FetchObjects { objects, .. } = sev {
-                let m = moqdns::core::response_from_object(&objects[0]).unwrap();
-                println!(
-                    "[client] recovered answer from restarted server: {}",
-                    m.answers[0]
-                );
-                println!("\nCrash, silence, detection, redial — recovery is part of the protocol.");
-                return;
-            }
-        }
-        drop(ep);
-        std::thread::sleep(Duration::from_millis(5));
+    let recovered = wait_for(
+        &client,
+        Duration::from_secs(10),
+        "redial + joining fetch",
+        answer(100),
+    );
+    println!("[client] recovered answer from restarted server: {recovered}");
+    if !(client.stop() && server.stop()) {
+        fail("clean io-worker drain");
     }
-    panic!("crash-recovery act timed out");
+    println!("\nCrash, silence, detection, redial — recovery is part of the protocol.");
 }
